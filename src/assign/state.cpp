@@ -6,6 +6,12 @@
 
 namespace cpla::assign {
 
+namespace {
+
+int overflow_of(int load, int cap) { return std::max(0, load - cap); }
+
+}  // namespace
+
 AssignState::AssignState(const grid::Design* design, std::vector<route::SegTree> trees)
     : design_(design), trees_(std::move(trees)) {
   const auto& g = design_->grid;
@@ -34,6 +40,9 @@ AssignState::AssignState(const grid::Design* design, std::vector<route::SegTree>
   }
   CPLA_ASSERT_MSG(!h_layers_.empty() && !v_layers_.empty(),
                   "need at least one layer per direction");
+  const Overflow ov = recount_overflow();
+  wire_overflow_ = ov.wire;
+  via_overflow_ = ov.via;
 }
 
 void AssignState::for_each_edge(int net, int seg, const std::function<void(int)>& fn) const {
@@ -97,17 +106,29 @@ void AssignState::apply_net(int net, int delta) {
   const auto& g = design_->grid;
   const auto& layer_of = layers_[net];
   const route::SegTree& tree = trees_[net];
+  // Each touched entry moves its overflow term from max(0, before - cap) to
+  // max(0, after - cap); the counters absorb exactly that difference.
+  auto bump_via_load = [&](std::vector<int>& usage, int l, int cell, int weight) {
+    const int cap = via_cap_[l][cell];
+    const int before = via_load(l, cell);
+    usage[cell] += delta;
+    via_overflow_ += overflow_of(before + weight * delta, cap) - overflow_of(before, cap);
+  };
   for (const route::Segment& s : tree.segs) {
     const int l = layer_of[s.id];
     CPLA_ASSERT_MSG(g.is_horizontal(l) == s.horizontal, "layer direction mismatch");
-    for_each_edge(net, s.id, [&](int e) { wire_usage_[l][e] += delta; });
-    for_each_cell(net, s.id, [&](int cell) { track_usage_[l][cell] += delta; });
+    for_each_edge(net, s.id, [&](int e) {
+      const int cap = g.edge_capacity(l, e);
+      int& usage = wire_usage_[l][e];
+      wire_overflow_ -= overflow_of(usage, cap);
+      usage += delta;
+      wire_overflow_ += overflow_of(usage, cap);
+    });
+    for_each_cell(net, s.id, [&](int cell) { bump_via_load(track_usage_[l], l, cell, nv_); });
   }
   for_each_via(net, layer_of, [&](int x, int y, int lo, int hi) {
     via_count_ += static_cast<long>(delta) * (hi - lo);
-    for (int l = lo + 1; l < hi; ++l) {
-      via_usage_[l][g.cell_id(x, y)] += delta;
-    }
+    for (int l = lo + 1; l < hi; ++l) bump_via_load(via_usage_[l], l, g.cell_id(x, y), 1);
   });
 }
 
@@ -167,26 +188,28 @@ std::vector<int> AssignState::default_layers(const route::SegTree& tree) const {
   return layers;
 }
 
-long AssignState::wire_overflow() const {
-  long sum = 0;
-  for (std::size_t l = 0; l < wire_usage_.size(); ++l) {
-    for (std::size_t e = 0; e < wire_usage_[l].size(); ++e) {
-      sum += std::max(0, wire_usage_[l][e] -
-                             design_->grid.edge_capacity(static_cast<int>(l), static_cast<int>(e)));
-    }
-  }
-  return sum;
+void AssignState::set_wire_capacity(grid::Design* design, int layer, int edge, int cap) {
+  CPLA_ASSERT_MSG(design == design_, "capacity change on a design this state does not track");
+  const int usage = wire_usage_[layer][edge];
+  wire_overflow_ -= overflow_of(usage, design_->grid.edge_capacity(layer, edge));
+  design->grid.set_edge_capacity(layer, edge, cap);
+  wire_overflow_ += overflow_of(usage, cap);
 }
 
-long AssignState::via_overflow() const {
-  long sum = 0;
-  for (std::size_t l = 0; l < via_usage_.size(); ++l) {
-    for (std::size_t c = 0; c < via_usage_[l].size(); ++c) {
-      const int load = via_usage_[l][c] + nv_ * track_usage_[l][c];
-      sum += std::max(0, load - via_cap_[l][c]);
+AssignState::Overflow AssignState::recount_overflow() const {
+  Overflow ov;
+  for (std::size_t l = 0; l < wire_usage_.size(); ++l) {
+    for (std::size_t e = 0; e < wire_usage_[l].size(); ++e) {
+      ov.wire += overflow_of(wire_usage_[l][e], design_->grid.edge_capacity(
+                                                    static_cast<int>(l), static_cast<int>(e)));
     }
   }
-  return sum;
+  for (std::size_t l = 0; l < via_usage_.size(); ++l) {
+    for (std::size_t c = 0; c < via_usage_[l].size(); ++c) {
+      ov.via += overflow_of(via_load(static_cast<int>(l), static_cast<int>(c)), via_cap_[l][c]);
+    }
+  }
+  return ov;
 }
 
 }  // namespace cpla::assign

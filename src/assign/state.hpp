@@ -7,7 +7,9 @@
 //   * track usage per (layer, cell): wires crossing the cell, which consume
 //     nv via sites each (the nv*(x_ij+x_pq) term of (4d))
 // and the paper's reported metrics (wire overflow, via overflow OV#, via
-// count).
+// count). All three metrics are running counters updated per touched entry,
+// so querying them is O(1); wire capacity changes must go through
+// set_wire_capacity so the wire counter stays exact.
 
 #include <functional>
 #include <vector>
@@ -67,14 +69,20 @@ class AssignState {
   int via_cap(int layer, int cell) const { return via_cap_[layer][cell]; }
   int nv() const { return nv_; }
 
+  /// The single wire-capacity entry point while a state exists: writes
+  /// `cap` for (layer, edge) into `design`'s grid (the design this state was
+  /// built on) and re-syncs the wire-overflow counter for that edge. Via
+  /// capacities keep their construction-time values (see DESIGN.md).
+  void set_wire_capacity(grid::Design* design, int layer, int edge, int cap);
+
   /// Via-site load of constraint (4d): via_usage + nv * track_usage.
   int via_load(int layer, int cell) const {
     return via_usage_[layer][cell] + nv_ * track_usage_[layer][cell];
   }
 
   // --- Metrics (Table 2 columns) ---------------------------------------
-  long wire_overflow() const;
-  long via_overflow() const;  // OV#
+  long wire_overflow() const { return wire_overflow_; }
+  long via_overflow() const { return via_overflow_; }  // OV#
   long via_count() const { return via_count_; }
 
   /// Allowed layers for a segment (matching preferred direction).
@@ -94,7 +102,18 @@ class AssignState {
                     const std::function<void(int x, int y, int lo, int hi)>& fn) const;
 
  private:
+  friend struct AssignStateAudit;  // test-only access to recount_overflow()
+
+  struct Overflow {
+    long wire = 0;
+    long via = 0;
+  };
+
   void apply_net(int net, int delta);
+
+  /// Full O(layers x grid) scan of the usage arrays. Seeds the counters at
+  /// construction; tests audit the counters against it.
+  Overflow recount_overflow() const;
 
   const grid::Design* design_;
   std::vector<route::SegTree> trees_;
@@ -105,6 +124,8 @@ class AssignState {
   std::vector<std::vector<int>> via_cap_;      // [layer][cell], static
   std::vector<int> h_layers_, v_layers_;
   long via_count_ = 0;
+  long wire_overflow_ = 0;  // sum of max(0, wire_usage - edge_capacity)
+  long via_overflow_ = 0;   // sum of max(0, via_load - via_cap)
   int nv_ = 1;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "src/assign/net_dp.hpp"
 #include "src/timing/elmore.hpp"
@@ -11,22 +9,19 @@
 
 namespace cpla::core {
 
-namespace {
-
-long long slot_key(int layer, int edge) {
-  return (static_cast<long long>(layer) << 32) | static_cast<unsigned>(edge);
-}
-
-}  // namespace
-
 int make_headroom(assign::AssignState* state, const timing::RcTable& rc,
                   const CriticalSet& critical, const DisplaceOptions& options) {
   const auto& g = state->design().grid;
 
   // 1. Wanted slots: for each nearly-critical released segment, the layers
   //    above its current one (same direction) on every edge it crosses,
-  //    where remaining capacity is below the headroom target.
-  std::unordered_set<long long> wanted;
+  //    where remaining capacity is below the headroom target. A flat
+  //    per-layer mask over directional edge ids: wanted[l][e] != 0.
+  std::vector<std::vector<char>> wanted(static_cast<std::size_t>(g.num_layers()));
+  for (int l = 0; l < g.num_layers(); ++l) {
+    wanted[l].assign(static_cast<std::size_t>(g.num_edges_on_layer(l)), 0);
+  }
+  long num_wanted = 0;
   for (int net : critical.nets) {
     const route::SegTree& tree = state->tree(net);
     if (tree.segs.empty()) continue;
@@ -37,20 +32,23 @@ int make_headroom(assign::AssignState* state, const timing::RcTable& rc,
       for (int l : state->allowed_layers(seg.horizontal)) {
         if (l <= current) continue;  // headroom is only needed above
         state->for_each_edge(net, seg.id, [&](int e) {
-          if (state->wire_cap(l, e) - state->wire_usage(l, e) < options.headroom) {
-            wanted.insert(slot_key(l, e));
+          if (state->wire_cap(l, e) - state->wire_usage(l, e) < options.headroom &&
+              !wanted[l][e]) {
+            wanted[l][e] = 1;
+            ++num_wanted;
           }
         });
       }
     }
   }
-  if (wanted.empty()) return 0;
+  if (num_wanted == 0) return 0;
 
   // 2. Victim candidates: non-released nets occupying wanted slots, ranked
   //    by how many wanted slots they block (clear the biggest blockers
   //    first). Only short/medium nets are displaced — demoting a long net
   //    would create a new timing problem.
-  std::unordered_map<int, int> blocked_by;  // net -> #wanted slots occupied
+  // net -> #wanted slots occupied
+  std::vector<int> blocked_by(static_cast<std::size_t>(state->num_nets()), 0);
   for (int net = 0; net < state->num_nets(); ++net) {
     if (critical.released[net] || !state->assigned(net)) continue;
     const auto& layers = state->layers(net);
@@ -60,14 +58,16 @@ int make_headroom(assign::AssignState* state, const timing::RcTable& rc,
     for (const route::Segment& seg : state->tree(net).segs) {
       const int l = layers[seg.id];
       state->for_each_edge(net, seg.id, [&](int e) {
-        if (wanted.count(slot_key(l, e))) blocked_by[net] += 1;
+        blocked_by[net] += wanted[l][e];
       });
     }
   }
-  std::vector<std::pair<int, int>> victims(blocked_by.begin(), blocked_by.end());
-  // Tie-break on net id: without it the sort inherits the unordered_map's
-  // bucket order and the victim sequence (hence the final assignment) stops
-  // being a pure function of the input.
+  std::vector<std::pair<int, int>> victims;  // (net, #wanted slots occupied)
+  for (int net = 0; net < state->num_nets(); ++net) {
+    if (blocked_by[net] > 0) victims.emplace_back(net, blocked_by[net]);
+  }
+  // Biggest blockers first, ties by net id: a total order, so the victim
+  // sequence (hence the final assignment) is a pure function of the input.
   std::sort(victims.begin(), victims.end(), [](const auto& a, const auto& b) {
     return a.second != b.second ? a.second > b.second : a.first < b.first;
   });
@@ -92,7 +92,7 @@ int make_headroom(assign::AssignState* state, const timing::RcTable& rc,
     costs.seg_cost = [&, nv](int s, int l) {
       double cost = 0.0;
       state->for_each_edge(net, s, [&](int e) {
-        if (wanted.count(slot_key(l, e))) {
+        if (wanted[l][e]) {
           cost += 1e7;  // stay out of the corridor being cleared
         }
         const int usage = state->wire_usage(l, e);
@@ -144,7 +144,7 @@ int make_headroom(assign::AssignState* state, const timing::RcTable& rc,
     via_ov = via_now;
     ++moved;
   }
-  LOG_DEBUG("displace: %zu wanted slots, %d victims moved", wanted.size(), moved);
+  LOG_DEBUG("displace: %ld wanted slots, %d victims moved", num_wanted, moved);
   return moved;
 }
 

@@ -201,7 +201,7 @@ Result<int> apply_delta(const Delta& delta, grid::Design* design, assign::Assign
       CPLA_CHECK(in_range, Status(StatusCode::kBadInput, "eco: capacity edge outside the grid"));
       const int edge =
           horizontal ? g.h_edge_id(delta.x, delta.y) : g.v_edge_id(delta.x, delta.y);
-      design->grid.set_edge_capacity(delta.layer, edge, delta.cap);
+      state->set_wire_capacity(design, delta.layer, edge, delta.cap);
       return -1;
     }
     case DeltaKind::kNetAdded: {

@@ -113,7 +113,7 @@ Result<std::vector<int>> EcoSession::apply_batch(const std::vector<Delta>& batch
                 horizontal ? g.h_edge_id(delta.x, delta.y) : g.v_edge_id(delta.x, delta.y);
             undo.push_back([this, layer = delta.layer, edge,
                             cap = g.edge_capacity(delta.layer, edge)]() {
-              design_->grid.set_edge_capacity(layer, edge, cap);
+              state_->set_wire_capacity(design_, layer, edge, cap);
             });
           }
         }

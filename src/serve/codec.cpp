@@ -210,7 +210,7 @@ Status restore_state(std::string_view blob, grid::Design* design, assign::Assign
     for (std::uint32_t e = 0; e < num_edges; ++e) {
       const int cap = r.i32();
       if (!r.ok()) break;
-      design->grid.set_edge_capacity(l, static_cast<int>(e), cap);
+      state->set_wire_capacity(design, l, static_cast<int>(e), cap);
     }
   }
   CPLA_CHECK(r.ok(), Status(StatusCode::kBadInput, "serve: truncated checkpoint capacities"));

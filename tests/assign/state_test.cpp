@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/grid/layer_stack.hpp"
+#include "src/util/rng.hpp"
+#include "tests/assign/state_audit.hpp"
 
 namespace cpla::assign {
 namespace {
@@ -121,6 +125,124 @@ TEST(AssignState, ViaLoadCombinesViasAndTracks) {
   EXPECT_EQ(state.via_load(1, junction), 1);
   // Layer 0: the H wire crosses the junction cell -> nv tracks-worth.
   EXPECT_EQ(state.via_load(0, junction), state.nv());
+}
+
+TEST(AssignState, SetWireCapacityResyncsTheWireCounter) {
+  Fixture f;
+  std::vector<route::SegTree> trees;
+  for (int i = 0; i < 3; ++i) trees.push_back(f.l_net(i));
+  AssignState state(&f.design, std::move(trees));
+  for (int i = 0; i < 3; ++i) state.set_layers(i, {0, 1});
+  EXPECT_EQ(state.wire_overflow(), 0);
+  const int edge = f.design.grid.h_edge_id(2, 1);
+  state.set_wire_capacity(&f.design, 0, edge, 1);  // 3 wires over capacity 1
+  EXPECT_EQ(f.design.grid.edge_capacity(0, edge), 1);
+  EXPECT_EQ(state.wire_overflow(), 2);
+  state.set_wire_capacity(&f.design, 0, edge, 4);
+  EXPECT_EQ(state.wire_overflow(), 0);
+  EXPECT_TRUE(AssignStateAudit::counters_match_recount(state));
+}
+
+// Every mutator, capacity change and copy keeps both running counters equal
+// to a full recount, on a grid tight enough that both overflows occur.
+TEST(AssignState, OverflowCountersMatchFullRecountUnderRandomMutations) {
+  constexpr int kSize = 8;
+  grid::Design design("random", [] {
+    grid::GridGraph g(kSize, kSize, grid::make_layer_stack(4), grid::default_geom());
+    for (int l = 0; l < 4; ++l) g.fill_layer_capacity(l, 1);
+    return g;
+  }());
+  const grid::GridGraph& g = design.grid;
+  Rng rng(0x5eed0001);
+
+  // A 2-pin L-shaped net: horizontal run at the driver's row, then vertical.
+  auto random_tree = [&](int id) {
+    grid::Pin a{0, 0, 0}, b{0, 0, 0};
+    while (a.x == b.x && a.y == b.y) {
+      a = grid::Pin{static_cast<int>(rng.uniform_int(0, kSize - 1)),
+                    static_cast<int>(rng.uniform_int(0, kSize - 1)), 0};
+      b = grid::Pin{static_cast<int>(rng.uniform_int(0, kSize - 1)),
+                    static_cast<int>(rng.uniform_int(0, kSize - 1)), 0};
+    }
+    grid::Net net;
+    net.id = id;
+    net.pins = {a, b};
+    route::NetRoute r;
+    for (int x = std::min(a.x, b.x); x < std::max(a.x, b.x); ++x) r.add_h(g.h_edge_id(x, a.y));
+    for (int y = std::min(a.y, b.y); y < std::max(a.y, b.y); ++y) r.add_v(g.v_edge_id(b.x, y));
+    return route::extract_tree(g, net, &r);
+  };
+
+  std::vector<route::SegTree> trees;
+  for (int i = 0; i < 24; ++i) trees.push_back(random_tree(i));
+  AssignState state(&design, std::move(trees));
+  ASSERT_TRUE(AssignStateAudit::counters_match_recount(state));
+
+  auto random_layers = [&](const route::SegTree& tree) {
+    std::vector<int> layers(tree.segs.size());
+    for (const route::Segment& s : tree.segs) {
+      const std::vector<int>& allowed = state.allowed_layers(s.horizontal);
+      layers[s.id] = allowed[rng.uniform_int(0, static_cast<int>(allowed.size()) - 1)];
+    }
+    return layers;
+  };
+
+  long peak_wire = 0, peak_via = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const int net = static_cast<int>(rng.uniform_int(0, state.num_nets() - 1));
+    switch (rng.uniform_int(0, 8)) {
+      case 0:
+        if (!state.tree(net).segs.empty()) state.set_layers(net, random_layers(state.tree(net)));
+        break;
+      case 1:
+        state.clear_net(net);
+        break;
+      case 2: {
+        route::SegTree tree = random_tree(net);
+        std::vector<int> layers = rng.chance(0.5) ? random_layers(tree) : std::vector<int>{};
+        state.replace_tree(net, std::move(tree), std::move(layers));
+        break;
+      }
+      case 3: {
+        route::SegTree tree = random_tree(state.num_nets());
+        std::vector<int> layers = rng.chance(0.5) ? random_layers(tree) : std::vector<int>{};
+        state.add_net(std::move(tree), std::move(layers));
+        break;
+      }
+      case 4:
+        state.remove_net(net);
+        break;
+      case 5:
+        if (state.num_nets() > 1) state.pop_net(state.num_nets() - 1);
+        break;
+      case 6: {
+        const int layer = static_cast<int>(rng.uniform_int(0, g.num_layers() - 1));
+        const int edge = static_cast<int>(rng.uniform_int(0, g.num_edges_on_layer(layer) - 1));
+        state.set_wire_capacity(&design, layer, edge, static_cast<int>(rng.uniform_int(0, 3)));
+        break;
+      }
+      case 7: {
+        AssignState copy(state);
+        ASSERT_TRUE(AssignStateAudit::counters_match_recount(copy)) << "step " << step;
+        copy.clear_net(net);  // the copy's counters are its own
+        ASSERT_TRUE(AssignStateAudit::counters_match_recount(copy)) << "step " << step;
+        break;
+      }
+      case 8: {
+        AssignState other(&design, {});
+        other = state;
+        ASSERT_TRUE(AssignStateAudit::counters_match_recount(other)) << "step " << step;
+        if (!other.tree(net).segs.empty()) other.set_layers(net, random_layers(other.tree(net)));
+        state = other;
+        break;
+      }
+    }
+    ASSERT_TRUE(AssignStateAudit::counters_match_recount(state)) << "step " << step;
+    peak_wire = std::max(peak_wire, state.wire_overflow());
+    peak_via = std::max(peak_via, state.via_overflow());
+  }
+  EXPECT_GT(peak_wire, 0) << "the sequence never exercised wire overflow";
+  EXPECT_GT(peak_via, 0) << "the sequence never exercised via overflow";
 }
 
 }  // namespace

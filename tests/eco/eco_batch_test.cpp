@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/eco/eco_session.hpp"
 #include "src/eco/edit_script.hpp"
+#include "tests/assign/state_audit.hpp"
 #include "tests/eco/eco_test_util.hpp"
 
 namespace cpla::eco {
@@ -136,6 +138,43 @@ TEST(EcoBatchTest, ApplyBatchSuccessMatchesOneByOneApplication) {
   ASSERT_TRUE(rb.status.is_ok());
   expect_assignments_equal(*a.state, *b.state);
   expect_metrics_equal(*a.state, *b.state, *a.rc, sa.critical());
+}
+
+TEST(EcoBatchTest, CapacityDeltaAndItsUndoKeepOverflowCountersExact) {
+  core::Prepared a = batch_bench();
+  EcoSession sa(a.design.get(), a.state.get(), a.rc.get());
+  const grid::GridGraph& g = a.design->grid;
+  using assign::AssignStateAudit;
+
+  // The two busiest horizontal edges: zeroing their capacity must show up
+  // in the wire-overflow counter.
+  const int h = first_horizontal(g);
+  std::vector<std::pair<int, int>> busy;  // (usage, edge)
+  for (int e = 0; e < g.num_edges_on_layer(h); ++e) {
+    busy.emplace_back(a.state->wire_usage(h, e), e);
+  }
+  std::sort(busy.rbegin(), busy.rend());
+  ASSERT_GT(busy[1].first, 0);
+  auto delta_for = [&](int edge, int cap) {
+    return Delta::capacity_adjusted(h, edge % (g.xsize() - 1), edge / (g.xsize() - 1), cap);
+  };
+
+  const long wire0 = a.state->wire_overflow();
+  ASSERT_TRUE(sa.apply(delta_for(busy[0].second, 0)).is_ok());
+  EXPECT_TRUE(AssignStateAudit::counters_match_recount(*a.state));
+  EXPECT_GT(a.state->wire_overflow(), wire0);
+
+  // A failing batch runs the capacity undo lambda: counters return to the
+  // pre-batch values and still match a recount.
+  const long wire1 = a.state->wire_overflow();
+  const long via1 = a.state->via_overflow();
+  const int cap1 = g.edge_capacity(h, busy[1].second);
+  const std::vector<Delta> batch = {delta_for(busy[1].second, 0), Delta::net_removed(999999)};
+  ASSERT_FALSE(sa.apply_batch(batch).is_ok());
+  EXPECT_TRUE(AssignStateAudit::counters_match_recount(*a.state));
+  EXPECT_EQ(a.state->wire_overflow(), wire1);
+  EXPECT_EQ(a.state->via_overflow(), via1);
+  EXPECT_EQ(g.edge_capacity(h, busy[1].second), cap1);
 }
 
 }  // namespace

@@ -78,6 +78,27 @@ class FixtureFiring(unittest.TestCase):
         )
 
 
+class CapacityEntryPoint(unittest.TestCase):
+    def test_each_direct_write_is_a_finding(self) -> None:
+        _, doc = run_lint("--root", str(DATA / "capacity_entry_point"))
+        self.assertEqual(
+            sorted((f["file"], f["line"]) for f in doc["findings"]),
+            [("src/eco/bypass.cpp", 9), ("src/eco/bypass.cpp", 10)],
+            "set_edge_capacity and fill_layer_capacity each fire; the comment does not",
+        )
+
+    def test_allowed_writers_are_exempt(self) -> None:
+        bypass = (DATA / "capacity_entry_point" / "src" / "eco" / "bypass.cpp").read_text()
+        for rel in ("src/grid", "src/gen", "src/parser"):
+            with self.subTest(dir=rel), tempfile.TemporaryDirectory() as tmp:
+                dst = Path(tmp) / rel / "bypass.cpp"
+                dst.parent.mkdir(parents=True)
+                dst.write_text(bypass)
+                rc, doc = run_lint("--root", tmp)
+                self.assertEqual(doc["findings"], [])
+                self.assertEqual(rc, 0)
+
+
 class CleanTrees(unittest.TestCase):
     def test_clean_fixture_is_clean(self) -> None:
         rc, doc = run_lint("--root", str(DATA / "clean"))

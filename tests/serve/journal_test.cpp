@@ -14,6 +14,7 @@
 #include "src/serve/journal.hpp"
 #include "src/util/fault_inject.hpp"
 #include "src/util/fault_sites.hpp"
+#include "tests/assign/state_audit.hpp"
 #include "tests/serve/serve_test_util.hpp"
 
 namespace cpla::serve {
@@ -113,6 +114,29 @@ TEST(CodecTest, StateSerializationRoundTripsAndHashesStably) {
   core::CriticalSet cc = ca;
   cc.nets.pop_back();
   EXPECT_NE(hash_state(*a.state, cc), hash_state(*a.state, ca));
+}
+
+TEST(CodecTest, RestoredStateOverflowCountersMatchARecount) {
+  core::Prepared a = eco::make_bench(31, 12, 40);
+  core::Prepared b = eco::make_bench(31, 12, 40);
+  const core::CriticalSet ca = core::select_critical(*a.state, *a.rc, 0.05);
+  const grid::GridGraph& g = a.design->grid;
+
+  // Diverge `a` from the base: zero every used edge, so the checkpoint
+  // carries capacities that put the restored state in overflow.
+  for (int l = 0; l < g.num_layers(); ++l) {
+    for (int e = 0; e < g.num_edges_on_layer(l); ++e) {
+      if (a.state->wire_usage(l, e) > 0) a.state->set_wire_capacity(a.design.get(), l, e, 0);
+    }
+  }
+  ASSERT_GT(a.state->wire_overflow(), b.state->wire_overflow());
+
+  core::CriticalSet cb;
+  ASSERT_TRUE(restore_state(serialize_state(*a.state, ca), b.design.get(), b.state.get(), &cb)
+                  .is_ok());
+  EXPECT_TRUE(assign::AssignStateAudit::counters_match_recount(*b.state));
+  EXPECT_EQ(b.state->wire_overflow(), a.state->wire_overflow());
+  EXPECT_EQ(b.state->via_overflow(), a.state->via_overflow());
 }
 
 // --- journal frames ----------------------------------------------------

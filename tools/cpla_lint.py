@@ -21,6 +21,11 @@ Cross-file checks no generic linter knows about:
                           be bit-reproducible across runs
   missing-pragma-once     every header starts with #pragma once  [--fix]
   using-namespace-header  no `using namespace` at any scope in headers
+  capacity-entry-point    no set_edge_capacity / fill_layer_capacity call in
+                          src/ outside src/grid, src/gen, src/parser and
+                          the AssignState capacity entry point
+                          (src/assign/state.cpp): a capacity written behind
+                          the state's back desyncs its overflow counters
 
 Determinism-contract checks, keyed off src/util/determinism_contract.hpp
 (the registry of bit-identity TUs and order-sensitive directories; all
@@ -88,6 +93,7 @@ CHECKS = (
     "solver-nondeterminism",
     "missing-pragma-once",
     "using-namespace-header",
+    "capacity-entry-point",
     "determinism-fp-contract",
     "determinism-omp-reduction",
     "unordered-iteration",
@@ -101,6 +107,12 @@ DETERMINISM_RELPATH = Path("src/util/determinism_contract.hpp")
 # wrapper itself and the annotation macros.
 RAW_SYNC_EXEMPT = ("src/util/mutex.hpp", "src/util/mutex.cpp", "src/util/thread_annotations.hpp")
 SOLVER_DIRS = ("la", "lp", "ilp", "sdp")
+# Where grid capacities may be written directly: the grid itself, design
+# construction (generator, parser), and AssignState's entry point, which
+# re-syncs the overflow counters.
+CAPACITY_WRITER_DIRS = ("src/grid/", "src/gen/", "src/parser/")
+CAPACITY_ENTRY_POINT = "src/assign/state.cpp"
+CAPACITY_WRITE_RE = re.compile(r"(?<![\w])(set_edge_capacity|fill_layer_capacity)\s*\(")
 HEADER_SUFFIXES = (".hpp", ".h")
 SOURCE_SUFFIXES = (".hpp", ".h", ".cpp", ".cc")
 FP_CONTRACT_FLAG = "-ffp-contract=off"
@@ -444,6 +456,7 @@ class Linter:
         self.check_no_direct_stdout()
         self.check_solver_nondeterminism()
         self.check_headers()
+        self.check_capacity_entry_point()
         self.check_determinism_contract()
         self.check_mutex_guard_coverage()
         self.check_suppression_rationale()
@@ -599,6 +612,21 @@ class Linter:
                         f"{label} in a solver module breaks run-to-run "
                         "reproducibility; thread cpla::Rng through instead",
                     )
+
+    def check_capacity_entry_point(self) -> None:
+        for f in self.repo.src:
+            rel = self.relpath(f)
+            if rel.startswith(CAPACITY_WRITER_DIRS) or rel == CAPACITY_ENTRY_POINT:
+                continue
+            for m in CAPACITY_WRITE_RE.finditer(f.code):
+                self.report(
+                    "capacity-entry-point",
+                    f,
+                    line_of(f.code, m.start()),
+                    f"{m.group(1)} outside the grid/generator/parser bypasses "
+                    "AssignState's overflow counters; call "
+                    "AssignState::set_wire_capacity instead",
+                )
 
     # ---- determinism contract (src/util/determinism_contract.hpp) ------
 
