@@ -4,27 +4,12 @@
 // Paper shape: (a) Avg(Tcp) and (b) Max(Tcp) are nearly flat across
 // partition sizes; (c) runtime grows sharply with partition size, with the
 // sweet spot near 10 segments per partition (the default).
-//
-// --batch adds a second series per (bench, size) with the batched SDP
-// backend enabled (CplaOptions::batch); its rows record phases/values under
-// a ".batch" suffix. Both series then pin commit_batch (batch mode would
-// otherwise auto-widen it, changing the Gauss-Seidel granularity): at equal
-// commit-batch size the batched tier is result-transparent, so the quality
-// columns must match the scalar series exactly and the extra series only
-// adds runtime evidence. Plain runs keep the default commit_batch so the
-// canonical fig8 series is unchanged.
-
-#include <cstring>
 
 #include "bench/harness.hpp"
 
 int main(int argc, char** argv) {
   using namespace cpla;
   const bench::BenchArgs args = bench::parse_bench_args(&argc, argv);
-  bool with_batch = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--batch") == 0) with_batch = true;
-  }
   bench::BenchReport report("fig8_partition_sweep", args);
   set_log_level(LogLevel::kWarn);
   std::printf("=== Fig 8: partition-size impact (SDP engine) ===\n\n");
@@ -32,32 +17,25 @@ int main(int argc, char** argv) {
   const int sizes[] = {5, 10, 20, 40};
   const char* benches[] = {"adaptec1", "adaptec2", "bigblue1"};
 
-  Table table({"bench", "segs/part", "mode", "Avg(Tcp)", "Max(Tcp)", "CPU(s)", "partitions"});
+  Table table({"bench", "segs/part", "Avg(Tcp)", "Max(Tcp)", "CPU(s)", "partitions"});
   for (const char* name : benches) {
     bench::BenchRun run = bench::make_run(name, 0.005, args.seed);
     for (int size : sizes) {
-      const int modes = with_batch ? 2 : 1;
-      for (int mode = 0; mode < modes; ++mode) {
-        core::CplaOptions opt;
-        opt.partition.max_segments = size;
-        opt.max_rounds = 2;  // fixed round budget so CPU reflects partition size
-        opt.batch.enabled = mode == 1;
-        if (with_batch) opt.commit_batch = 32;  // equal granularity across modes
-        run.restore();
-        WallTimer timer;
-        const core::CplaResult r =
-            core::run_cpla(run.prepared.state.get(), *run.prepared.rc, run.critical, opt);
-        const double secs = timer.seconds();
-        std::string prefix = std::string(name) + ".size" + std::to_string(size);
-        if (mode == 1) prefix += ".batch";
-        report.record_phase(prefix, secs * 1e3);
-        report.record_value(prefix + ".avg_tcp", r.metrics.avg_tcp);
-        report.record_value(prefix + ".max_tcp", r.metrics.max_tcp);
-        table.add_row({name, std::to_string(size), mode == 1 ? "batch" : "scalar",
-                       fmt_num(r.metrics.avg_tcp / 1e3, 2), fmt_num(r.metrics.max_tcp / 1e3, 2),
-                       fmt_num(secs, 2),
-                       std::to_string(r.partitions_solved / std::max(1, r.rounds))});
-      }
+      core::CplaOptions opt;
+      opt.partition.max_segments = size;
+      opt.max_rounds = 2;  // fixed round budget so CPU reflects partition size
+      run.restore();
+      WallTimer timer;
+      const core::CplaResult r =
+          core::run_cpla(run.prepared.state.get(), *run.prepared.rc, run.critical, opt);
+      const double secs = timer.seconds();
+      const std::string prefix = std::string(name) + ".size" + std::to_string(size);
+      report.record_phase(prefix, secs * 1e3);
+      report.record_value(prefix + ".avg_tcp", r.metrics.avg_tcp);
+      report.record_value(prefix + ".max_tcp", r.metrics.max_tcp);
+      table.add_row({name, std::to_string(size), fmt_num(r.metrics.avg_tcp / 1e3, 2),
+                     fmt_num(r.metrics.max_tcp / 1e3, 2), fmt_num(secs, 2),
+                     std::to_string(r.partitions_solved / std::max(1, r.rounds))});
     }
   }
   table.print(stdout);

@@ -9,9 +9,9 @@
 //
 // Exit status: nonzero when any step diverges bitwise (always), or when
 // the incremental speedup falls below the --gate floor (default 5x, full
-// mode only; --quick is too small to gate). The floor lives in-binary for
-// the same reason micro_batch's does: bench_compare.py's bigger-is-worse
-// rule cannot express "this derived ratio must stay above X".
+// mode only; --quick is too small to gate). The floor lives in-binary
+// because bench_compare.py's bigger-is-worse rule cannot express "this
+// derived ratio must stay above X".
 //
 // Usage: sta_incremental [--quick] [--gate X] [--seed N] [--metrics-out FILE]
 

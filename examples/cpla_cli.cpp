@@ -15,7 +15,6 @@
 //                         engine per partition)
 //     --rounds <n>        max CPLA rounds (default 8)
 //     --max-segs <n>      partition cap (default 10)
-//     --batch             batched SDP backend (bit-identical, faster)
 //     --eco <script>      ECO mode: apply an edit script incrementally
 //     --sta               live STA: rounds re-select the released set from
 //                         worst-over-corners slack (re-timing only in --eco)
@@ -29,6 +28,7 @@
 //     --validate          audit the solution with the independent checker
 //     --antenna           antenna-ratio report
 //     --quiet             warnings only
+// Any other argument is an error.
 //
 // ECO script format (one op per line, '#' comments):
 //     capacity <layer> <x> <y> <cap>   set a directional edge's wire capacity
@@ -65,6 +65,29 @@ namespace {
 
 using cpla::examples::arg_value;
 using cpla::examples::has_flag;
+
+/// The first argument that is neither a flag parsed below nor the value of
+/// one, or nullptr when every argument is known.
+const char* unknown_argument(int argc, char** argv) {
+  static const char* const kValueFlags[] = {
+      "--bench", "--file", "--ratio", "--engine", "--backend", "--rounds", "--max-segs",
+      "--eco", "--corners", "--topk", "--required-time", "--write-gr", "--write-routes"};
+  static const char* const kBareFlags[] = {"--sta", "--validate", "--antenna", "--quiet"};
+  auto among = [](const char* arg, const auto& flags) {
+    for (const char* flag : flags) {
+      if (std::strcmp(arg, flag) == 0) return true;
+    }
+    return false;
+  };
+  for (int i = 1; i < argc; ++i) {
+    if (among(argv[i], kValueFlags)) {
+      ++i;  // its value
+    } else if (!among(argv[i], kBareFlags)) {
+      return argv[i];
+    }
+  }
+  return nullptr;
+}
 
 /// Streams one edit-script line into the session. Returns false (with a
 /// message) on a malformed line or a rejected delta. The grammar is
@@ -114,9 +137,14 @@ int main(int argc, char** argv) {
         "usage: cpla_cli [--bench NAME | --file PATH] [--ratio R]\n"
         "                [--engine sdp|ilp|lagr|tila] [--backend sdp|lagr|hybrid]\n"
         "                [--rounds N] [--max-segs N]\n"
-        "                [--batch] [--eco SCRIPT] [--sta] [--corners PATH]\n"
-        "                [--topk K] [--required-time T] [--write-gr PATH] [--quiet]\n");
+        "                [--eco SCRIPT] [--sta] [--corners PATH] [--topk K]\n"
+        "                [--required-time T] [--write-gr PATH] [--write-routes PATH]\n"
+        "                [--validate] [--antenna] [--quiet]\n");
     return 0;
+  }
+  if (const char* arg = unknown_argument(argc, argv)) {
+    std::fprintf(stderr, "error: unknown argument %s (see --help)\n", arg);
+    return 1;
   }
   if (has_flag(argc, argv, "--quiet")) set_log_level(LogLevel::kWarn);
 
@@ -128,6 +156,10 @@ int main(int argc, char** argv) {
       arg_value(argc, argv, "--ratio") ? std::atof(arg_value(argc, argv, "--ratio")) : 0.005;
   const std::string engine =
       arg_value(argc, argv, "--engine") ? arg_value(argc, argv, "--engine") : "sdp";
+  if (engine != "sdp" && engine != "ilp" && engine != "lagr" && engine != "tila") {
+    std::fprintf(stderr, "error: unknown --engine %s (sdp|ilp|lagr|tila)\n", engine.c_str());
+    return 1;
+  }
   const char* eco_script = arg_value(argc, argv, "--eco");
   if (eco_script != nullptr && engine == "tila") {
     std::fprintf(stderr, "error: --eco drives the CPLA flow (use --engine sdp|ilp)\n");
@@ -175,11 +207,6 @@ int main(int argc, char** argv) {
   if (const char* cap = arg_value(argc, argv, "--max-segs")) {
     cpla_opt.partition.max_segments = std::atoi(cap);
   }
-  // Batched SDP backend: solve the round's small partitions kLanes at a
-  // time on the task-graph scheduler. Results are bit-identical to the
-  // default per-partition loop; only the throughput changes.
-  if (has_flag(argc, argv, "--batch")) cpla_opt.batch.enabled = true;
-
   // Live STA: build the multi-corner graph once up front; with --sta the
   // flow re-times it incrementally every round and re-selects the released
   // set from live slack. --topk/--corners alone still buy the report.

@@ -93,6 +93,28 @@ int main(int argc, char** argv) {
   if (has_flag(argc, argv, "--quiet")) set_log_level(LogLevel::kWarn);
   if (!arm_faults(argc, argv)) return 1;
 
+  // Stop handlers installed and the stop signals *blocked* before any other
+  // thread exists (prepare() starts the OpenMP pool, start() the service
+  // worker), so every thread inherits the blocked mask and only the main
+  // thread's sigsuspend() below can take a SIGTERM. The chaos harness sends
+  // one as soon as it reads the listening banner: a signal landing before
+  // std::signal() would kill us by default action, and one taken by another
+  // thread between the g_stop check and sigsuspend() would be lost and
+  // leave the loop waiting forever. (--replay exits on its own.)
+  const bool replay = has_flag(argc, argv, "--replay");
+  sigset_t wait_mask{};
+  if (!replay) {
+    std::signal(SIGTERM, handle_stop);
+    std::signal(SIGINT, handle_stop);
+    sigset_t stop_set;
+    sigemptyset(&stop_set);
+    sigaddset(&stop_set, SIGTERM);
+    sigaddset(&stop_set, SIGINT);
+    sigprocmask(SIG_BLOCK, &stop_set, &wait_mask);
+    sigdelset(&wait_mask, SIGTERM);
+    sigdelset(&wait_mask, SIGINT);
+  }
+
   // The base design is regenerated from the seed on every start — exactly
   // what journal recovery requires: the genesis hash must match.
   gen::SynthSpec spec;
@@ -114,7 +136,7 @@ int main(int argc, char** argv) {
     opt.default_deadline_ms = std::atof(d);
   }
 
-  if (has_flag(argc, argv, "--replay")) {
+  if (replay) {
     // Reference recovery path: journal only, checkpoints ignored.
     if (opt.journal_path.empty()) {
       std::fprintf(stderr, "error: --replay needs --journal\n");
@@ -145,23 +167,6 @@ int main(int argc, char** argv) {
   if (has_flag(argc, argv, "--print-hash")) {
     std::printf("hash %016llx\n", static_cast<unsigned long long>(service.snapshot()->hash));
   }
-
-  // Handlers installed and the stop signals *blocked* before the listening
-  // banner goes out: the chaos harness reacts to the banner, and a SIGTERM
-  // landing before std::signal() would kill us by default action, while one
-  // landing between the g_stop check and sigsuspend() would be lost and
-  // leave the loop waiting forever. Blocking here and atomically unblocking
-  // inside sigsuspend() closes both races.
-  std::signal(SIGTERM, handle_stop);
-  std::signal(SIGINT, handle_stop);
-  sigset_t stop_set;
-  sigemptyset(&stop_set);
-  sigaddset(&stop_set, SIGTERM);
-  sigaddset(&stop_set, SIGINT);
-  sigset_t wait_mask;
-  sigprocmask(SIG_BLOCK, &stop_set, &wait_mask);
-  sigdelset(&wait_mask, SIGTERM);
-  sigdelset(&wait_mask, SIGINT);
 
   serve::SocketServer server(&service, socket_path);
   const Status listening = server.start();

@@ -2,26 +2,21 @@
 
 // Cross-backend arbiter: the per-partition runtime decision between the
 // SDP relaxation and the Lagrangian sub-gradient engine, sitting in front
-// of the solve-guard escalation chain. The policy is deterministic in
-// (problem, guard options, recorded history):
+// of the solve-guard escalation chain. The policy is a pure function of
+// (problem, guard options, base engine):
 //
 //   * kSdp / kLagr force one backend everywhere (kSdp is the stock flow —
 //     the arbiter returns the configured base engine untouched);
 //   * kHybrid routes a partition to the Lagrangian engine when the SDP
 //     tier is the wrong tool: partitions at or above `lagr_min_vars`
 //     (dense lifted dimension grows quadratically; the sub-gradient sweep
-//     is linear per iteration), any partition under a per-solve deadline
+//     is linear per iteration), and any partition under a per-solve deadline
 //     at or above `deadline_min_vars` (an interior-point solve that blows
 //     its budget degrades to keep-current; the sweep always lands a valid
-//     pick), and — when history is enabled — everything above a reduced
-//     threshold once the observed SDP escalation rate exceeds
-//     `history_escalation_rate`.
+//     pick).
 //
-// History must only be updated from serial sections (the flow records at
-// commit time, between solve batches), so choices inside one batch all see
-// the same history and the decision sequence is reproducible. Replay-keyed
-// callers (the ECO cache) run with `use_history = false`, making choose()
-// a pure function of (problem, guard) — derivable at replay time.
+// Because no outcome feeds back into the choice, replay-keyed callers (the
+// ECO cache) can re-derive it at replay time.
 
 #include "src/core/model.hpp"
 #include "src/core/solve_guard.hpp"
@@ -37,14 +32,9 @@ struct ArbiterOptions {
   // Hybrid thresholds, in partition vars.
   int lagr_min_vars = 48;      // at/above: sub-gradient beats the lifted SDP
   int deadline_min_vars = 12;  // at/above under a deadline: don't risk keep-current
-  // Adaptive history: after `history_min_solves` SDP solves, an escalation
-  // rate above `history_escalation_rate` halves lagr_min_vars.
-  bool use_history = true;
-  int history_min_solves = 8;
-  double history_escalation_rate = 0.5;
 };
 
-/// Running tallies of the arbiter's decisions and the observed outcomes.
+/// Tallies of the arbiter's decisions and the observed outcomes.
 struct ArbiterStats {
   long sdp_chosen = 0;
   long lagr_chosen = 0;
@@ -59,15 +49,13 @@ class BackendArbiter {
 
   /// Picks the engine for one partition. `base` is the flow's configured
   /// engine: kIlp is never overridden (an explicit exact-engine request),
-  /// and mode kSdp returns `base` untouched. Pure given the recorded
-  /// history; thread-safe against concurrent choose() calls (record() must
-  /// not run concurrently with them).
+  /// and mode kSdp returns `base` untouched. Pure; safe to call
+  /// concurrently.
   Engine choose(const PartitionProblem& problem, const GuardOptions& guard,
                 Engine base) const;
 
-  /// Records a solve outcome for the adaptive history and the stats. Call
-  /// from serial sections only (commit time), never concurrently with
-  /// choose().
+  /// Tallies a solve outcome into stats(). Not thread-safe: call from
+  /// serial sections only.
   void record(Engine chosen, const GuardedSolve& solve);
 
   const ArbiterStats& stats() const { return stats_; }

@@ -32,15 +32,6 @@ namespace cpla::core {
 using PartitionSolveFn = std::function<GuardedSolve(
     const PartitionProblem& problem, const assign::AssignState& state, GuardStats* stats)>;
 
-/// The batched counterpart: solve a whole commit batch of partitions at
-/// once (one GuardedSolve per input problem, in order). The flow's default
-/// is guarded_solve_batch(); src/eco substitutes a wrapper that serves
-/// per-partition cache hits and batches only the misses. Must be
-/// bit-identical to calling the per-partition path on each problem.
-using PartitionBatchSolveFn = std::function<std::vector<GuardedSolve>(
-    const std::vector<const PartitionProblem*>& problems, const assign::AssignState& state,
-    GuardStats* stats)>;
-
 /// The Table-2 metric set, computed over the released nets.
 struct LaMetrics {
   double avg_tcp = 0.0;   // Avg(Tcp)
@@ -74,37 +65,22 @@ struct CplaOptions {
   sdp::SdpOptions sdp{.max_iterations = 60, .tol = 1e-5, .step_fraction = 0.98};
   ilp::MipOptions ilp;
   // Cross-backend arbiter (src/core/backend_arbiter): per-partition choice
-  // between the SDP and Lagrangian engines. The default mode (kSdp) leaves
+  // between the SDP and Lagrangian engines, a pure function of the
+  // partition and the guard options. The default mode (kSdp) leaves
   // `engine` in charge everywhere — the stock flow, bit-identical to the
   // arbiter-free path. kHybrid routes large / deadline-pressured
-  // partitions to Engine::kLagr; choices are recorded (and the adaptive
-  // history advanced) only at serial commit boundaries, so runs stay
-  // deterministic. Ignored when a `partition_solver` hook is installed —
-  // the hook owns backend choice (src/eco runs its own history-free
-  // arbiter so cached solves replay bit-identically).
+  // partitions to Engine::kLagr. Ignored when a `partition_solver` hook is
+  // installed — the hook owns backend choice (src/eco runs its own arbiter
+  // so the chosen engine can enter its cache key).
   ArbiterOptions backend;
   // Graceful degradation: every partition solve runs through the guarded
   // escalation chain and commits transactionally (see solve_guard.hpp).
   GuardOptions guard;
   bool parallel = true;  // OpenMP over partitions
-  // Batched SDP backend (src/sdp/batch_solver): solve the round's small
-  // partition SDPs kLanes at a time as structure-of-arrays slabs, scheduled
-  // on the work-stealing task graph (src/core/scheduler) instead of the
-  // per-partition OpenMP loop. Results are bit-identical to the scalar
-  // path at equal commit-batch size; oversized/ineligible partitions and
-  // escalation tiers still run scalar through the unchanged solve-guard
-  // chain. Ignored for Engine::kIlp and whenever guard.deadline_ms > 0
-  // (per-solve deadlines cannot be honored lane-wise).
-  struct BatchOptions {
-    bool enabled = false;
-    sdp::BatchLimits limits;
-  };
-  BatchOptions batch;
   // Commit-batch size of the Gauss-Seidel sweep: how many partitions are
   // solved from one snapshot before committing. 0 = auto (the OpenMP
-  // thread count; widened to keep slab lanes full in batch mode). The
-  // granularity changes which state neighboring partitions see, so
-  // batch-vs-scalar equivalence holds at equal commit_batch only.
+  // thread count). The granularity changes which state neighboring
+  // partitions see, so results are comparable at equal commit_batch only.
   int commit_batch = 0;
   // Ablation: commit all partitions from one snapshot (Jacobi) instead of
   // committing each batch before building the next (Gauss-Seidel, default).
@@ -116,10 +92,6 @@ struct CplaOptions {
   // (the cache is keyed on the exact layer vector). Both default to off,
   // which is the stock flow.
   PartitionSolveFn partition_solver;
-  // Batched counterpart of `partition_solver`. Batch mode requires it when
-  // `partition_solver` is set (the hook must observe every solve), and
-  // uses guarded_solve_batch() when neither hook is set.
-  PartitionBatchSolveFn partition_batch_solver;
   timing::TimingCache* timing_cache = nullptr;
   // Live-STA critical-set rediscovery (src/sta). When set (not owned, must
   // be built against this state), every round re-times the graph

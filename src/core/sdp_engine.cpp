@@ -122,10 +122,10 @@ std::vector<int> post_map(const PartitionProblem& p, const assign::AssignState& 
   return pick;
 }
 
-PartitionSdp build_partition_sdp(const PartitionProblem& p) {
-  PartitionSdp out;
-  if (p.vars.empty()) return out;
+namespace {
 
+/// The lifted relaxation of one partition (`p` must have vars).
+sdp::SdpProblem build_lifted_sdp(const PartitionProblem& p) {
   const std::vector<int> off = var_offsets(p);
   const int n_scalar = off.back();
   const int dense_dim = 1 + n_scalar;
@@ -245,15 +245,14 @@ PartitionSdp build_partition_sdp(const PartitionProblem& p) {
       ++slack;
     }
   }
-  out.problem.emplace(std::move(sp));
-  return out;
+  return sp;
 }
 
-EngineResult finish_partition_sdp(const PartitionProblem& p, const assign::AssignState& state,
-                                  const sdp::SdpResult& sr) {
+/// Rounds one partition's SDP result into an EngineResult (extraction,
+/// Alg. 1 post-mapping, polish, incumbent guard).
+EngineResult round_sdp_result(const PartitionProblem& p, const assign::AssignState& state,
+                              const sdp::SdpResult& sr) {
   EngineResult result;
-  if (p.vars.empty()) return result;
-
   const std::vector<int> off = var_offsets(p);
   auto xi = [&](int var, int opt) { return 1 + off[var] + opt; };
 
@@ -310,13 +309,14 @@ EngineResult finish_partition_sdp(const PartitionProblem& p, const assign::Assig
   return result;
 }
 
+}  // namespace
+
 EngineResult solve_partition_sdp(const PartitionProblem& p, const assign::AssignState& state,
                                  const sdp::SdpOptions& options) {
   EngineResult result;
   if (p.vars.empty()) return result;
-  const PartitionSdp built = build_partition_sdp(p);
-  const sdp::SdpResult sr = sdp::solve(*built.problem, options);
-  return finish_partition_sdp(p, state, sr);
+  const sdp::SdpResult sr = sdp::solve(build_lifted_sdp(p), options);
+  return round_sdp_result(p, state, sr);
 }
 
 }  // namespace cpla::core

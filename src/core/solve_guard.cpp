@@ -166,16 +166,12 @@ EngineResult solve_partition_net_dp(const PartitionProblem& p,
   return result;
 }
 
-/// The escalation chain. `injected_primary` (nullable) supplies the
-/// primary tier's engine result precomputed by the batched backend; it
-/// must equal what the inline primary solve would produce (no wall-clock
-/// deadline may be active — the batch entry point guarantees both).
+/// The escalation chain (guarded_solve minus the registry mirroring).
 static GuardedSolve guarded_solve_impl(const PartitionProblem& p,
                                        const assign::AssignState& state, Engine engine,
                                        const sdp::SdpOptions& sdp_options,
                                        const ilp::MipOptions& ilp_options,
-                                       const GuardOptions& guard,
-                                       EngineResult* injected_primary, GuardStats* stats) {
+                                       const GuardOptions& guard, GuardStats* stats) {
   GuardedSolve out;
   ++stats->solves;
   if (p.vars.empty()) {
@@ -200,7 +196,6 @@ static GuardedSolve guarded_solve_impl(const PartitionProblem& p,
   };
 
   auto primary_result = [&](const sdp::SdpOptions& opts) {
-    if (injected_primary != nullptr) return std::move(*injected_primary);
     switch (engine) {
       case Engine::kSdp: return solve_partition_sdp(p, state, opts);
       case Engine::kLagr: return solve_partition_lagr(p, state, guard.lagr);
@@ -306,19 +301,13 @@ static GuardedSolve guarded_solve_impl(const PartitionProblem& p,
   return out;
 }
 
-/// Shared by guarded_solve / guarded_solve_with_primary: mirrors per-solve
-/// outcomes into the global registry — the local GuardStats aggregate
-/// belongs to one flow invocation, while the registry feeds the bench JSON
-/// / CI view across the whole process. In the batched path the wall
-/// histogram covers only the escalation around the injected primary; the
-/// batched tier-0 time lands in batch.solve.ms instead (see
-/// src/sdp/batch_solver.cpp).
-static GuardedSolve guarded_solve_mirrored(const PartitionProblem& p,
-                                           const assign::AssignState& state, Engine engine,
-                                           const sdp::SdpOptions& sdp_options,
-                                           const ilp::MipOptions& ilp_options,
-                                           const GuardOptions& guard,
-                                           EngineResult* injected_primary, GuardStats* stats) {
+/// Mirrors per-solve outcomes into the global registry — the local
+/// GuardStats aggregate belongs to one flow invocation, while the registry
+/// feeds the bench JSON / CI view across the whole process.
+GuardedSolve guarded_solve(const PartitionProblem& p, const assign::AssignState& state,
+                           Engine engine, const sdp::SdpOptions& sdp_options,
+                           const ilp::MipOptions& ilp_options, const GuardOptions& guard,
+                           GuardStats* stats) {
   static obs::Counter& solves = obs::metrics().counter("core.guard.solves");
   static obs::Counter* tiers[kNumGuardTiers] = {
       &obs::metrics().counter("core.guard.tier.primary"),
@@ -336,8 +325,7 @@ static GuardedSolve guarded_solve_mirrored(const PartitionProblem& p,
 
   const GuardStats before = *stats;
   WallTimer timer;
-  GuardedSolve out = guarded_solve_impl(p, state, engine, sdp_options, ilp_options, guard,
-                                        injected_primary, stats);
+  GuardedSolve out = guarded_solve_impl(p, state, engine, sdp_options, ilp_options, guard, stats);
   wall.record(timer.milliseconds());
   solves.add();
   tiers[static_cast<int>(out.tier)]->add();
@@ -346,71 +334,6 @@ static GuardedSolve guarded_solve_mirrored(const PartitionProblem& p,
   iter_limits.add(stats->iteration_limits - before.iteration_limits);
   rejects.add(stats->validation_rejects - before.validation_rejects);
   sdp_iters.add(out.result.iterations);
-  return out;
-}
-
-GuardedSolve guarded_solve(const PartitionProblem& p, const assign::AssignState& state,
-                           Engine engine, const sdp::SdpOptions& sdp_options,
-                           const ilp::MipOptions& ilp_options, const GuardOptions& guard,
-                           GuardStats* stats) {
-  return guarded_solve_mirrored(p, state, engine, sdp_options, ilp_options, guard, nullptr,
-                                stats);
-}
-
-GuardedSolve guarded_solve_with_primary(const PartitionProblem& p,
-                                        const assign::AssignState& state, Engine engine,
-                                        const sdp::SdpOptions& sdp_options,
-                                        const ilp::MipOptions& ilp_options,
-                                        const GuardOptions& guard, EngineResult primary,
-                                        GuardStats* stats) {
-  return guarded_solve_mirrored(p, state, engine, sdp_options, ilp_options, guard, &primary,
-                                stats);
-}
-
-std::vector<GuardedSolve> guarded_solve_batch(
-    const std::vector<const PartitionProblem*>& problems, const assign::AssignState& state,
-    Engine engine, const sdp::SdpOptions& sdp_options, const ilp::MipOptions& ilp_options,
-    const GuardOptions& guard, const sdp::BatchLimits& limits, GuardStats* stats) {
-  std::vector<GuardedSolve> out(problems.size());
-
-  // Wholesale per-partition fallback when batching cannot apply: a non-SDP
-  // primary has nothing to batch, and a per-solve wall-clock deadline
-  // cannot be honored lane-wise (every lane of a chunk shares one
-  // iteration loop; sdp_budget would also make each lane's options depend
-  // on the wall clock, breaking replay determinism).
-  if (engine != Engine::kSdp || guard.deadline_ms > 0.0) {
-    for (std::size_t i = 0; i < problems.size(); ++i) {
-      out[i] =
-          guarded_solve(*problems[i], state, engine, sdp_options, ilp_options, guard, stats);
-    }
-    return out;
-  }
-
-  // Tier 0 for every partition in one batched pass. With deadline_ms == 0
-  // the scalar tier 0 solves under sdp_options verbatim (sdp_budget is the
-  // identity), so the batched primary — bit-identical to sdp::solve per
-  // problem by the batch solver's contract — is exactly what guarded_solve
-  // would have computed inline.
-  std::vector<PartitionSdp> built(problems.size());
-  std::vector<const sdp::SdpProblem*> sps;
-  std::vector<std::size_t> owner;  // sps index -> problems index
-  for (std::size_t i = 0; i < problems.size(); ++i) {
-    built[i] = build_partition_sdp(*problems[i]);
-    if (built[i].problem.has_value()) {
-      sps.push_back(&*built[i].problem);
-      owner.push_back(i);
-    }
-  }
-  const std::vector<sdp::SdpResult> solved = sdp::solve_batch(sps, sdp_options, limits);
-
-  std::vector<EngineResult> primaries(problems.size());
-  for (std::size_t s = 0; s < owner.size(); ++s) {
-    primaries[owner[s]] = finish_partition_sdp(*problems[owner[s]], state, solved[s]);
-  }
-  for (std::size_t i = 0; i < problems.size(); ++i) {
-    out[i] = guarded_solve_with_primary(*problems[i], state, engine, sdp_options, ilp_options,
-                                        guard, std::move(primaries[i]), stats);
-  }
   return out;
 }
 

@@ -27,7 +27,6 @@
 #include "src/core/model.hpp"
 #include "src/core/sdp_engine.hpp"
 #include "src/ilp/branch_bound.hpp"
-#include "src/sdp/batch_solver.hpp"
 #include "src/sdp/solver.hpp"
 #include "src/util/status.hpp"
 
@@ -100,34 +99,5 @@ GuardedSolve guarded_solve(const PartitionProblem& problem, const assign::Assign
                            Engine engine, const sdp::SdpOptions& sdp_options,
                            const ilp::MipOptions& ilp_options, const GuardOptions& guard,
                            GuardStats* stats);
-
-/// guarded_solve with the primary tier's engine result supplied by the
-/// caller instead of computed inline — the batched SDP backend solves many
-/// partitions' tier-0 relaxations in one pass and feeds each into the
-/// unchanged escalation chain through this entry point. `primary` must be
-/// what the primary tier would have produced for `problem` under these
-/// options (bit-identity of the batch path rests on that); validation,
-/// escalation, and stats/metrics accounting are identical to
-/// guarded_solve.
-GuardedSolve guarded_solve_with_primary(const PartitionProblem& problem,
-                                        const assign::AssignState& state, Engine engine,
-                                        const sdp::SdpOptions& sdp_options,
-                                        const ilp::MipOptions& ilp_options,
-                                        const GuardOptions& guard, EngineResult primary,
-                                        GuardStats* stats);
-
-/// Solves a set of partitions with the primary SDP tier batched: builds
-/// every partition's lifted relaxation, hands them to sdp::solve_batch
-/// (size-class binning, kLanes-wide slabs, scalar fallback for ineligible
-/// problems), and routes each result through the escalation chain. Results
-/// are bit-identical to calling guarded_solve per partition, in input
-/// order. Falls back to the per-partition path wholesale when batching
-/// cannot apply (non-SDP engine, or a per-solve wall-clock deadline — the
-/// lanes of a batch share one iteration loop, so per-lane deadlines cannot
-/// be honored).
-std::vector<GuardedSolve> guarded_solve_batch(
-    const std::vector<const PartitionProblem*>& problems, const assign::AssignState& state,
-    Engine engine, const sdp::SdpOptions& sdp_options, const ilp::MipOptions& ilp_options,
-    const GuardOptions& guard, const sdp::BatchLimits& limits, GuardStats* stats);
 
 }  // namespace cpla::core

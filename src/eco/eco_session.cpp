@@ -10,24 +10,13 @@
 
 namespace cpla::eco {
 
-namespace {
-
-// Replay-safe arbiter configuration: the adaptive history would make a
-// choice depend on how many solves ran before it, which a cache hit skips.
-core::ArbiterOptions history_free(core::ArbiterOptions backend) {
-  backend.use_history = false;
-  return backend;
-}
-
-}  // namespace
-
 EcoSession::EcoSession(grid::Design* design, assign::AssignState* state,
                        const timing::RcTable* rc, EcoOptions options)
     : design_(design),
       state_(state),
       rc_(rc),
       options_(std::move(options)),
-      arbiter_(history_free(options_.flow.backend)),
+      arbiter_(options_.flow.backend),
       cache_(options_.cache_capacity) {
   CPLA_ASSERT(design_ != nullptr && state_ != nullptr && rc_ != nullptr);
   CPLA_ASSERT_MSG(&state_->design() == design_, "state must be built on this design");
@@ -174,11 +163,6 @@ core::OptimizeResult EcoSession::resolve(const ResolveOptions& request) {
                                  const assign::AssignState& state, core::GuardStats* stats) {
     return solve_partition(problem, state, stats);
   };
-  opts.partition_batch_solver = [this](const std::vector<const core::PartitionProblem*>& problems,
-                                       const assign::AssignState& state,
-                                       core::GuardStats* stats) {
-    return solve_partition_batch(problems, state, stats);
-  };
   if (request.deadline_ms > 0.0) opts.guard.deadline_ms = request.deadline_ms;
   opts.cancel = request.cancel;
 
@@ -220,12 +204,7 @@ core::OptimizeResult EcoSession::resolve(const ResolveOptions& request) {
 core::OptimizeResult EcoSession::full_resolve() {
   ++full_resolves_;
   obs::metrics().counter("eco.resolve.full").add();
-  // Same history-free arbiter config the cached path uses: the flow's
-  // adaptive history would let backend choices depend on solve *order*,
-  // and resolve() must stay bit-identical to this baseline.
-  core::CplaOptions opts = options_.flow;
-  opts.backend = history_free(opts.backend);
-  core::OptimizeResult out = core::optimize(state_, *rc_, critical_, opts);
+  core::OptimizeResult out = core::optimize(state_, *rc_, critical_, options_.flow);
   pending_.clear();
   retime_sta();
   return out;
@@ -341,103 +320,6 @@ core::GuardedSolve EcoSession::solve_partition(const core::PartitionProblem& pro
   const core::GuardedSolve solved = solve_fresh();
   cache_.insert(key, solved);
   return solved;
-}
-
-std::vector<core::GuardedSolve> EcoSession::solve_partition_batch(
-    const std::vector<const core::PartitionProblem*>& problems, const assign::AssignState& state,
-    core::GuardStats* stats) {
-  const core::CplaOptions& f = options_.flow;
-  const std::size_t n = problems.size();
-  std::vector<core::GuardedSolve> out(n);
-
-  // Classify every problem exactly as the sequential per-partition path
-  // would (including degradation set by an earlier problem's fault carrying
-  // forward), serving cache hits inline and queueing everything else.
-  std::vector<char> insertable(n, 0);
-  std::vector<CacheKey> keys(n);
-  std::vector<const core::PartitionProblem*> misses;
-  std::vector<std::size_t> miss_owner;
-  misses.reserve(n);
-  miss_owner.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const core::PartitionProblem& problem = *problems[i];
-    if (CPLA_FAULT_POINT("eco.resolve.partition")) {
-      degraded_.store(true, std::memory_order_relaxed);
-      misses.push_back(&problem);
-      miss_owner.push_back(i);
-      continue;
-    }
-    if (degraded_.load(std::memory_order_relaxed)) {
-      misses.push_back(&problem);
-      miss_owner.push_back(i);
-      continue;
-    }
-    if (is_dirty(problem)) {
-      dirty_partitions_.fetch_add(1, std::memory_order_relaxed);
-      obs::metrics().counter("eco.partitions.dirty").add();
-      keys[i] = build_key(problem, state);
-      insertable[i] = 1;
-      misses.push_back(&problem);
-      miss_owner.push_back(i);
-      continue;
-    }
-    clean_partitions_.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().counter("eco.partitions.clean").add();
-    keys[i] = build_key(problem, state);
-    core::GuardedSolve cached;
-    if (cache_.lookup(keys[i], &cached)) {
-      if (replay_valid(problem, cached)) {
-        if (stats != nullptr) {
-          ++stats->solves;
-          ++stats->tier_used[static_cast<int>(cached.tier)];
-        }
-        out[i] = std::move(cached);
-        continue;
-      }
-      obs::metrics().counter("eco.cache.replay_rejects").add();
-    }
-    if (cache_.poisoned()) degraded_.store(true, std::memory_order_relaxed);
-    insertable[i] = 1;
-    misses.push_back(&problem);
-    miss_owner.push_back(i);
-  }
-
-  if (!misses.empty()) {
-    // Keys were built pre-solve, but the solve phase never mutates the
-    // state, so they equal the keys the sequential path would compute.
-    // The arbiter may route individual misses to the Lagrangian engine; a
-    // batch call carries one engine, so lagr-chosen misses solve through
-    // the scalar guarded path and only the base-engine misses are batched.
-    // (chosen_engine is history-free, so the split is a pure function of
-    // the problems — identical under replay and across batch shapes.)
-    std::vector<core::GuardedSolve> solved(misses.size());
-    std::vector<const core::PartitionProblem*> batched;
-    std::vector<std::size_t> batched_owner;
-    batched.reserve(misses.size());
-    batched_owner.reserve(misses.size());
-    for (std::size_t m = 0; m < misses.size(); ++m) {
-      const core::Engine eng = chosen_engine(*misses[m]);
-      if (eng == f.engine) {
-        batched.push_back(misses[m]);
-        batched_owner.push_back(m);
-      } else {
-        solved[m] = core::guarded_solve(*misses[m], state, eng, f.sdp, f.ilp, f.guard, stats);
-      }
-    }
-    if (!batched.empty()) {
-      std::vector<core::GuardedSolve> batch_solved = core::guarded_solve_batch(
-          batched, state, f.engine, f.sdp, f.ilp, f.guard, f.batch.limits, stats);
-      for (std::size_t b = 0; b < batched.size(); ++b) {
-        solved[batched_owner[b]] = std::move(batch_solved[b]);
-      }
-    }
-    for (std::size_t m = 0; m < misses.size(); ++m) {
-      const std::size_t i = miss_owner[m];
-      if (insertable[i] != 0) cache_.insert(keys[i], solved[m]);
-      out[i] = std::move(solved[m]);
-    }
-  }
-  return out;
 }
 
 CacheKey EcoSession::build_key(const core::PartitionProblem& problem,

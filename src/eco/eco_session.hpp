@@ -138,14 +138,6 @@ class EcoSession {
   core::GuardedSolve solve_partition(const core::PartitionProblem& problem,
                                      const assign::AssignState& state,
                                      core::GuardStats* stats);
-  // Batched counterpart with per-problem semantics identical to calling
-  // solve_partition on each problem in order (fault-point consumption,
-  // dirty/clean counters, cache hits and inserts); cache misses are solved
-  // together through core::guarded_solve_batch. Installed as the flow's
-  // partition_batch_solver so batch mode stays available under caching.
-  std::vector<core::GuardedSolve> solve_partition_batch(
-      const std::vector<const core::PartitionProblem*>& problems,
-      const assign::AssignState& state, core::GuardStats* stats);
   CacheKey build_key(const core::PartitionProblem& problem,
                      const assign::AssignState& state) const;
   bool is_dirty(const core::PartitionProblem& problem) const;
@@ -156,11 +148,10 @@ class EcoSession {
   assign::AssignState* state_;
   const timing::RcTable* rc_;
   EcoOptions options_;
-  // History-free copy of options_.flow.backend (use_history forced off):
-  // with no adaptive state, choose() is a pure function of the problem, so
-  // a cached GuardedSolve replays bit-identically no matter how many
-  // solves preceded it. record() is never called — the adaptive-history
-  // feature is flow-only by design.
+  // The session's own arbiter over options_.flow.backend: choose() is a
+  // pure function of the problem, so the chosen engine can enter the cache
+  // key and a cached GuardedSolve replays bit-identically no matter how
+  // many solves preceded it. record() is never called.
   core::BackendArbiter arbiter_;
   core::CriticalSet critical_;
 

@@ -25,13 +25,12 @@
 
 namespace cpla::contract {
 
-// TUs whose results must be bit-identical across thread counts, batch
-// shapes, and replay (the ECO cache and the serve journal both replay their
-// outputs and compare hashes). FMA contraction is compiler-discretionary,
-// so these are pinned to -ffp-contract=off; reductions must accumulate in
-// a pinned order (ascending k — see DESIGN.md § Batched SDP backend).
+// TUs whose results must be bit-identical across thread counts and replay
+// (the ECO cache and the serve journal both replay their outputs and
+// compare hashes). FMA contraction is compiler-discretionary, so these are
+// pinned to -ffp-contract=off; reductions must accumulate in a pinned order
+// (see DESIGN.md § Deterministic parallelism).
 inline constexpr const char* kBitIdentityTUs[] = {
-    "src/la/batch.cpp",
     // Incremental STA: an incremental TimingGraph::update() must be
     // bit-identical to a from-scratch build() on the same state, and the
     // top-K path report is replayed by tests against a brute-force oracle.

@@ -24,13 +24,6 @@ inline constexpr char kLaCholeskyFactor[] = "la.cholesky.factor";
 inline constexpr char kSdpSolveNumerical[] = "sdp.solve.numerical";
 inline constexpr char kSdpSolveIterlimit[] = "sdp.solve.iterlimit";
 
-// sdp batch tier: infrastructure faults in the lane-batched solver. A
-// fired pack site aborts a chunk before packing; a fired step site aborts
-// it mid-iteration. Both degrade to per-lane scalar sdp::solve re-solves,
-// so armed or not the caller sees bit-identical results.
-inline constexpr char kBatchPack[] = "batch.pack";
-inline constexpr char kBatchSolveStep[] = "batch.solve.step";
-
 // core: solve-guard escalation triggers.
 inline constexpr char kSolveGuardDeadline[] = "solve_guard.deadline";
 
@@ -57,8 +50,6 @@ inline constexpr const char* kAll[] = {
     kLaCholeskyFactor,
     kSdpSolveNumerical,
     kSdpSolveIterlimit,
-    kBatchPack,
-    kBatchSolveStep,
     kSolveGuardDeadline,
     kLagrSolve,
     kEcoCacheLookup,

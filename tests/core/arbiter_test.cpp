@@ -1,5 +1,5 @@
-// BackendArbiter policy units (size, deadline, adaptive history, mode
-// forcing, kIlp passthrough) plus the end-to-end hybrid flow: both
+// BackendArbiter policy units (size, deadline, mode forcing, kIlp
+// passthrough, outcome tallies) plus the end-to-end hybrid flow: both
 // backends exercised through core::optimize(), deterministic across
 // repeated runs, never worse than entry.
 
@@ -81,36 +81,6 @@ TEST(BackendArbiterTest, HybridRoutesByDeadlinePressure) {
             Engine::kSdp);
 }
 
-TEST(BackendArbiterTest, HistoryHalvesThresholdUnderEscalationPressure) {
-  ArbiterOptions opt;
-  opt.mode = BackendMode::kHybrid;
-  BackendArbiter arbiter(opt);
-  const GuardOptions guard;
-  const int half = opt.lagr_min_vars / 2;
-  EXPECT_EQ(arbiter.choose(problem_with_vars(half), guard, Engine::kSdp), Engine::kSdp);
-
-  // Feed history_min_solves SDP outcomes, most of them escalated: the
-  // observed escalation rate crosses the configured threshold and the size
-  // cutoff halves.
-  for (int i = 0; i < opt.history_min_solves; ++i) {
-    const bool escalated = i < opt.history_min_solves - 1;
-    arbiter.record(Engine::kSdp,
-                   solve_at_tier(escalated ? GuardTier::kNetDp : GuardTier::kPrimary));
-  }
-  EXPECT_EQ(arbiter.stats().sdp_chosen, opt.history_min_solves);
-  EXPECT_EQ(arbiter.choose(problem_with_vars(half), guard, Engine::kSdp), Engine::kLagr);
-  EXPECT_EQ(arbiter.choose(problem_with_vars(half - 1), guard, Engine::kSdp), Engine::kSdp);
-
-  // History disabled: the same record stream must not move the cutoff.
-  ArbiterOptions frozen = opt;
-  frozen.use_history = false;
-  BackendArbiter pure(frozen);
-  for (int i = 0; i < 4 * opt.history_min_solves; ++i) {
-    pure.record(Engine::kSdp, solve_at_tier(GuardTier::kNetDp));
-  }
-  EXPECT_EQ(pure.choose(problem_with_vars(half), guard, Engine::kSdp), Engine::kSdp);
-}
-
 TEST(BackendArbiterTest, RecordTalliesPerBackendEscalations) {
   ArbiterOptions opt;
   opt.mode = BackendMode::kHybrid;
@@ -124,6 +94,13 @@ TEST(BackendArbiterTest, RecordTalliesPerBackendEscalations) {
   EXPECT_EQ(s.lagr_chosen, 2);
   EXPECT_EQ(s.sdp_escalations, 1);
   EXPECT_EQ(s.lagr_escalations, 1);
+
+  // The tally never feeds back into the choice: even a run of escalations
+  // leaves a below-threshold partition on the SDP tier.
+  for (int i = 0; i < 64; ++i) arbiter.record(Engine::kSdp, solve_at_tier(GuardTier::kNetDp));
+  EXPECT_EQ(arbiter.choose(problem_with_vars(opt.lagr_min_vars - 1), GuardOptions{},
+                           Engine::kSdp),
+            Engine::kSdp);
 }
 
 TEST(BackendArbiterTest, StatsMergeAccumulates) {

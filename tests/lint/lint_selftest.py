@@ -179,20 +179,20 @@ class Suppression(unittest.TestCase):
 
 class DeterminismAcceptance(unittest.TestCase):
     """The contract the registry header promises: removing -ffp-contract=off
-    from a registered TU's CMake lists, or adding an OpenMP reduction to the
-    TU, turns the real repository's lint red. Exercised on a copy of the
-    real src/la build files so the test proves the production CMake idiom
-    (${var} indirection through set + list(APPEND)) is parsed, not a toy.
+    from a registered TU's CMake lists, adding an OpenMP reduction to the
+    TU, or deleting a registered TU turns the real repository's lint red.
+    Exercised on copies of the real src/sta sources and build files, so the
+    test proves the production CMake is parsed, not a toy. (The ${var}
+    indirection through set + list(APPEND) is covered by the synthetic
+    determinism_* fixtures.)
     """
 
     def make_mini_repo(self, tmp: str) -> Path:
         root = Path(tmp) / "repo"
         for rel in (
             "src/util/determinism_contract.hpp",
-            "src/la/batch.cpp",
-            "src/la/CMakeLists.txt",
-            # The registry also pins the STA TUs; the mini repo must carry
-            # every registered TU (and its CMake proof) to lint clean.
+            # The mini repo must carry every registered TU (and its CMake
+            # proof) to lint clean.
             "src/sta/timing_graph.cpp",
             "src/sta/path_enum.cpp",
             "src/sta/CMakeLists.txt",
@@ -227,7 +227,7 @@ class DeterminismAcceptance(unittest.TestCase):
     def test_dropping_fp_contract_flag_fails_the_lint(self) -> None:
         with tempfile.TemporaryDirectory() as tmp:
             root = self.make_mini_repo(tmp)
-            cml = root / "src" / "la" / "CMakeLists.txt"
+            cml = root / "src" / "sta" / "CMakeLists.txt"
             text = cml.read_text()
             self.assertIn("-ffp-contract=off", text)
             cml.write_text(text.replace("-ffp-contract=off", ""))
@@ -240,10 +240,11 @@ class DeterminismAcceptance(unittest.TestCase):
     def test_adding_an_omp_reduction_fails_the_lint(self) -> None:
         with tempfile.TemporaryDirectory() as tmp:
             root = self.make_mini_repo(tmp)
-            tu = root / "src" / "la" / "batch.cpp"
+            tu = root / "src" / "sta" / "timing_graph.cpp"
             lines = tu.read_text().splitlines()
-            # Inject after the include block, inside the TU proper.
-            lines.insert(30, "#pragma omp parallel for reduction(+ : acc)")
+            # Inject inside the TU proper, at the top of build().
+            anchor = next(i for i, line in enumerate(lines) if "void TimingGraph::build(" in line)
+            lines.insert(anchor + 3, "#pragma omp parallel for reduction(+ : acc)")
             tu.write_text("\n".join(lines) + "\n")
             rc, doc = run_lint("--root", str(root))
             self.assertEqual(rc, 1)
@@ -254,7 +255,7 @@ class DeterminismAcceptance(unittest.TestCase):
     def drop_flag(self, root: Path) -> Path:
         """Strips -ffp-contract=off from the mini repo's CMakeLists and
         returns the file, so each case can re-add the flag in one shape."""
-        cml = root / "src" / "la" / "CMakeLists.txt"
+        cml = root / "src" / "sta" / "CMakeLists.txt"
         text = cml.read_text()
         self.assertIn("-ffp-contract=off", text)
         cml.write_text(text.replace("-ffp-contract=off", ""))
@@ -316,7 +317,7 @@ class DeterminismAcceptance(unittest.TestCase):
             cml = self.drop_flag(root)
             cml.write_text(
                 cml.read_text()
-                + '\ntarget_compile_options(cpla_la PRIVATE "-ffp-contract=off")\n'
+                + '\ntarget_compile_options(cpla_sta PRIVATE "-ffp-contract=off")\n'
             )
             rc, doc = run_lint("--root", str(root))
             self.assertEqual(doc["findings"], [])
@@ -325,7 +326,7 @@ class DeterminismAcceptance(unittest.TestCase):
     def test_registry_pointing_at_a_deleted_tu_fails_the_lint(self) -> None:
         with tempfile.TemporaryDirectory() as tmp:
             root = self.make_mini_repo(tmp)
-            (root / "src" / "la" / "batch.cpp").unlink()
+            (root / "src" / "sta" / "timing_graph.cpp").unlink()
             rc, doc = run_lint("--root", str(root))
             self.assertEqual(rc, 1)
             self.assertEqual(

@@ -38,13 +38,12 @@ import subprocess
 import sys
 
 # (artifact name, binary, canonical args) — one row per baseline gated in
-# the bench-smoke CI job, with identical arguments. micro_batch keeps its
-# in-binary --gate so a refresh cannot record a below-floor baseline.
+# the bench-smoke CI job, with identical arguments. backend_arbiter keeps
+# its in-binary --gate so a refresh cannot record a below-floor baseline.
 SPECS: list[tuple[str, str, list[str]]] = [
     ("BENCH_ablation_cpla.json", "ablation_cpla", ["--quick"]),
     ("BENCH_micro_solvers.json", "micro_solvers", ["--benchmark_filter=/(8|10|16|20)$"]),
     ("BENCH_micro_la.json", "micro_la", ["--benchmark_filter=/(32|64)$"]),
-    ("BENCH_micro_batch.json", "micro_batch", ["--quick", "--gate", "1.15"]),
     ("BENCH_eco_incremental.json", "eco_incremental", ["--quick"]),
     ("BENCH_eco_serve.json", "eco_serve", ["--quick"]),
     ("BENCH_sta_incremental.json", "sta_incremental", ["--quick"]),
@@ -61,8 +60,7 @@ def run_bench(build_dir: str, out_dir: str, name: str, binary: str, args: list[s
     out = os.path.join(out_dir, name)
     cmd = [exe, *args, "--metrics-out", out]
     # Same thread pinning as CI's bench-smoke job: single-thread wall
-    # clocks are the least noisy and the micro_batch gate compares
-    # batch-vs-scalar at equal thread count.
+    # clocks are the least noisy.
     env = {**os.environ, "OMP_NUM_THREADS": "1"}
     print(f"refresh_baselines: running {' '.join(cmd)}")
     res = subprocess.run(cmd, env=env, check=False)
