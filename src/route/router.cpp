@@ -169,10 +169,8 @@ RoutingResult route_all(const grid::Design& design, const RouterOptions& options
   // Negotiated rip-up and reroute.
   long reroutes = 0;
   for (int round = 0; round < options.max_negotiation_rounds; ++round) {
-    const long overflow = usage.total_overflow();
-    result.overflow = overflow;
-    result.rounds = round;
-    if (overflow == 0) break;
+    if (usage.total_overflow() == 0) break;
+    result.rounds = round + 1;
     usage.bump_history(options.history_step);
 
     for (std::size_t idx : order) {

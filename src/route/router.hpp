@@ -22,7 +22,7 @@ struct RouterOptions {
 struct RoutingResult {
   std::vector<NetRoute> routes;  // indexed by net id
   long overflow = 0;             // residual 2-D overflow after negotiation
-  int rounds = 0;
+  int rounds = 0;                // rip-up-and-reroute passes run
 };
 
 RoutingResult route_all(const grid::Design& design, const RouterOptions& options = {});
