@@ -8,14 +8,50 @@
 
 namespace cpla::la {
 
+namespace {
+
+// Register-tile height: the column updates solve kTile rows at once and the
+// trailing update fills kTile x kTile tiles. Every output entry still keeps
+// its own accumulator over ascending k, so the tiling changes how many
+// independent chains are in flight, never the order of any entry's sum.
+constexpr std::size_t kTile = 4;
+
+/// l(r, j) = (l(r, j) - sum_{k0 <= k < j} l(r, k) l(j, k)) / ljj for the
+/// kTile rows `r`, one accumulator per row.
+void column_update_tile(double* const* r, const double* lj, std::size_t k0, std::size_t j,
+                        double ljj) {
+  double sum[kTile];
+  for (std::size_t t = 0; t < kTile; ++t) sum[t] = r[t][j];
+  for (std::size_t k = k0; k < j; ++k) {
+    const double v = lj[k];
+    for (std::size_t t = 0; t < kTile; ++t) sum[t] -= r[t][k] * v;
+  }
+  for (std::size_t t = 0; t < kTile; ++t) r[t][j] = sum[t] / ljj;
+}
+
+/// The single-row form of column_update_tile, for tails.
+void column_update_row(double* li, const double* lj, std::size_t k0, std::size_t j, double ljj) {
+  double sum = li[j];
+  for (std::size_t k = k0; k < j; ++k) sum -= li[k] * lj[k];
+  li[j] = sum / ljj;
+}
+
+}  // namespace
+
 std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
+  Matrix l;
+  if (!factor_into(a, &l)) return std::nullopt;
+  return Cholesky(std::move(l));
+}
+
+bool Cholesky::factor_into(const Matrix& a, Matrix* out) {
   CPLA_ASSERT(a.rows() == a.cols());
   static obs::Counter& factors = obs::metrics().counter("la.cholesky.factors");
   static obs::Counter& failures = obs::metrics().counter("la.cholesky.failures");
   factors.add();
   if (CPLA_FAULT_POINT("la.cholesky.factor")) {
     failures.add();
-    return std::nullopt;
+    return false;
   }
   // Blocked right-looking factorization: factor a kNb-wide diagonal panel,
   // solve the rows below it, then fold the panel into the trailing
@@ -24,7 +60,8 @@ std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
   // bit-identical run to run.
   constexpr std::size_t kNb = 48;
   const std::size_t n = a.rows();
-  Matrix l(n, n);
+  if (out->rows() != n || out->cols() != n) *out = Matrix(n, n);
+  Matrix& l = *out;
   for (std::size_t i = 0; i < n; ++i) {
     const double* arow = a.row_ptr(i);
     double* lrow = l.row_ptr(i);
@@ -32,48 +69,88 @@ std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
   }
   for (std::size_t j0 = 0; j0 < n; j0 += kNb) {
     const std::size_t jb = std::min(kNb, n - j0);
+    const std::size_t je = j0 + jb;
     // Factor the diagonal block in place (unblocked; contributions from
     // columns < j0 were already subtracted by earlier trailing updates).
-    for (std::size_t j = j0; j < j0 + jb; ++j) {
-      const double* lj = l.row_ptr(j);
+    for (std::size_t j = j0; j < je; ++j) {
+      double* lj = l.row_ptr(j);
       double diag = lj[j];
       for (std::size_t k = j0; k < j; ++k) diag -= lj[k] * lj[k];
       if (!(diag > 0.0) || !std::isfinite(diag)) {
         failures.add();
-        return std::nullopt;
+        return false;
       }
       const double ljj = std::sqrt(diag);
-      l(j, j) = ljj;
-      for (std::size_t i = j + 1; i < j0 + jb; ++i) {
-        double* li = l.row_ptr(i);
-        double sum = li[j];
-        for (std::size_t k = j0; k < j; ++k) sum -= li[k] * lj[k];
-        li[j] = sum / ljj;
+      lj[j] = ljj;
+      std::size_t i = j + 1;
+      for (; i + kTile <= je; i += kTile) {
+        double* rows[kTile];
+        for (std::size_t t = 0; t < kTile; ++t) rows[t] = l.row_ptr(i + t);
+        column_update_tile(rows, lj, j0, j, ljj);
       }
+      for (; i < je; ++i) column_update_row(l.row_ptr(i), lj, j0, j, ljj);
     }
-    // Panel solve: L21 = A21 L11^{-T} for the rows below the block.
-    for (std::size_t i = j0 + jb; i < n; ++i) {
-      double* li = l.row_ptr(i);
-      for (std::size_t j = j0; j < j0 + jb; ++j) {
+    // Panel solve: L21 = A21 L11^{-T} for the rows below the block, kTile
+    // rows at a time; each row's columns are solved left to right.
+    std::size_t i = je;
+    for (; i + kTile <= n; i += kTile) {
+      double* rows[kTile];
+      for (std::size_t t = 0; t < kTile; ++t) rows[t] = l.row_ptr(i + t);
+      for (std::size_t j = j0; j < je; ++j) {
         const double* lj = l.row_ptr(j);
-        double sum = li[j];
-        for (std::size_t k = j0; k < j; ++k) sum -= li[k] * lj[k];
-        li[j] = sum / lj[j];
+        column_update_tile(rows, lj, j0, j, lj[j]);
       }
     }
-    // Trailing update: A22 -= L21 L21^T (lower triangle only), as dot
-    // products of contiguous panel rows.
-    for (std::size_t i = j0 + jb; i < n; ++i) {
-      const double* li = l.row_ptr(i) + j0;
-      for (std::size_t j = j0 + jb; j <= i; ++j) {
-        const double* lj = l.row_ptr(j) + j0;
-        double sum = 0.0;
-        for (std::size_t k = 0; k < jb; ++k) sum += li[k] * lj[k];
-        l(i, j) -= sum;
+    for (; i < n; ++i) {
+      double* li = l.row_ptr(i);
+      for (std::size_t j = j0; j < je; ++j) {
+        const double* lj = l.row_ptr(j);
+        column_update_row(li, lj, j0, j, lj[j]);
+      }
+    }
+    // Trailing update: A22 -= L21 L21^T (lower triangle only), in
+    // kTile x kTile tiles of panel-row dot products. Each kTile-row column
+    // tile is packed k-major first, so the tile's inner loop reads both
+    // operands contiguously.
+    for (std::size_t jt = je; jt < n; jt += kTile) {
+      const std::size_t nc = std::min(kTile, n - jt);
+      double packed[kNb * kTile];
+      for (std::size_t c = 0; c < nc; ++c) {
+        const double* lj = l.row_ptr(jt + c) + j0;
+        for (std::size_t k = 0; k < jb; ++k) packed[k * kTile + c] = lj[k];
+      }
+      for (std::size_t it = jt; it < n; it += kTile) {
+        const std::size_t nr = std::min(kTile, n - it);
+        double acc[kTile][kTile] = {};
+        if (nr == kTile && nc == kTile) {
+          const double* rows[kTile];
+          for (std::size_t r = 0; r < kTile; ++r) rows[r] = l.row_ptr(it + r) + j0;
+          for (std::size_t k = 0; k < jb; ++k) {
+            const double* pk = packed + k * kTile;
+            for (std::size_t r = 0; r < kTile; ++r) {
+              const double v = rows[r][k];
+              for (std::size_t c = 0; c < kTile; ++c) acc[r][c] += v * pk[c];
+            }
+          }
+        } else {
+          for (std::size_t k = 0; k < jb; ++k) {
+            const double* pk = packed + k * kTile;
+            for (std::size_t r = 0; r < nr; ++r) {
+              const double v = l.row_ptr(it + r)[j0 + k];
+              for (std::size_t c = 0; c < nc; ++c) acc[r][c] += v * pk[c];
+            }
+          }
+        }
+        // The diagonal tile (it == jt) also computed its upper half; only
+        // the lower triangle is stored.
+        for (std::size_t r = 0; r < nr; ++r) {
+          double* li = l.row_ptr(it + r);
+          for (std::size_t c = 0; c < nc && jt + c <= it + r; ++c) li[jt + c] -= acc[r][c];
+        }
       }
     }
   }
-  return Cholesky(std::move(l));
+  return true;
 }
 
 Vector Cholesky::solve(const Vector& b) const {
@@ -87,12 +164,13 @@ Vector Cholesky::solve(const Vector& b) const {
     for (std::size_t k = 0; k < i; ++k) sum -= li[k] * y[k];
     y[i] = sum / li[i];
   }
-  // Back substitution L^T x = y.
+  // Back substitution L^T x = y, walking column ii of L.
   Vector x(n);
   for (std::size_t ii = n; ii-- > 0;) {
     double sum = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) sum -= l_(k, ii) * x[k];
-    x[ii] = sum / l_(ii, ii);
+    const double* lcol = l_.row_ptr(0) + ii;
+    for (std::size_t k = ii + 1; k < n; ++k) sum -= lcol[k * n] * x[k];
+    x[ii] = sum / lcol[ii * n];
   }
   return x;
 }

@@ -17,6 +17,13 @@ class Cholesky {
   /// definite. `a` must be symmetric.
   static std::optional<Cholesky> factor(const Matrix& a);
 
+  /// The same factorization written into the lower triangle of `*l`
+  /// (reallocated, zero-filled, only when its shape differs), for callers
+  /// that need just the verdict or reuse one buffer across many
+  /// factorizations. Returns false exactly where factor() returns
+  /// std::nullopt, with the same counters and fault site.
+  static bool factor_into(const Matrix& a, Matrix* l);
+
   /// Solves A x = b.
   Vector solve(const Vector& b) const;
 

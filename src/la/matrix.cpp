@@ -80,10 +80,12 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
       if (mr == kMr && nr == kNr) {
         // Full tile: fixed-size accumulator the compiler keeps in registers.
         double acc[kMr][kNr] = {};
+        const double* arows[kMr];
+        for (std::size_t r = 0; r < kMr; ++r) arows[r] = a.row_ptr(i0 + r);
         for (std::size_t k = 0; k < kk; ++k) {
           const double* brow = b.row_ptr(k) + j0;
           for (std::size_t r = 0; r < kMr; ++r) {
-            const double av = a(i0 + r, k);
+            const double av = arows[r][k];
             for (std::size_t c = 0; c < kNr; ++c) acc[r][c] += av * brow[c];
           }
         }
@@ -97,7 +99,7 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
         for (std::size_t k = 0; k < kk; ++k) {
           const double* brow = b.row_ptr(k) + j0;
           for (std::size_t r = 0; r < mr; ++r) {
-            const double av = a(i0 + r, k);
+            const double av = a.row_ptr(i0 + r)[k];
             for (std::size_t c = 0; c < nr; ++c) acc[r][c] += av * brow[c];
           }
         }

@@ -229,8 +229,8 @@ Routing3DResult route_all_3d(const grid::Design& design, const Router3DOptions& 
 
   long reroutes = 0;
   for (int round = 0; round < options.max_negotiation_rounds; ++round) {
-    result.rounds = round;
     if (usage.total_overflow() == 0) break;
+    result.rounds = round + 1;
     usage.bump_history(options.history_step);
     for (std::size_t idx : order) {
       NetRoute3D& r = result.routes[idx];

@@ -47,7 +47,7 @@ struct Router3DOptions {
 struct Routing3DResult {
   std::vector<NetRoute3D> routes;  // indexed by net id
   long wire_overflow = 0;
-  int rounds = 0;
+  int rounds = 0;  // rip-up-and-reroute passes run
 };
 
 Routing3DResult route_all_3d(const grid::Design& design, const Router3DOptions& options = {});

@@ -191,15 +191,28 @@ BlockMatrix multiply(const BlockMatrix& a, const BlockMatrix& b, bool parallel) 
   return out;
 }
 
+bool diag_blocks_positive(const BlockMatrix& a) {
+  for (std::size_t k = 0; k < a.num_blocks(); ++k) {
+    if (a.is_dense(k)) continue;
+    for (double v : a.diag(k)) {
+      if (!(v > 0.0) || !std::isfinite(v)) return false;
+    }
+  }
+  return true;
+}
+
 std::optional<BlockCholesky> BlockCholesky::factor(const BlockMatrix& a, bool parallel) {
+  // The slack test is O(n) and decides alone whenever it fails, so no dense
+  // block is factored for nothing.
+  if (!diag_blocks_positive(a)) return std::nullopt;
   BlockCholesky out;
   out.structure_ = a.structure();
   out.chol_.resize(a.num_blocks());
   out.diag_.resize(a.num_blocks());
   const auto nb = static_cast<std::int64_t>(a.num_blocks());
-  // Parallel runs factor every block (no early exit) so metric counts and
-  // results stay independent of thread timing; blocks are written only by
-  // their owning iteration.
+  // Parallel runs factor every dense block (no early exit) so metric counts
+  // and results stay independent of thread timing; blocks are written only
+  // by their owning iteration.
   std::vector<char> ok(a.num_blocks(), 1);
   const auto body = [&](std::size_t k) {
     if (a.is_dense(k)) {
@@ -210,13 +223,7 @@ std::optional<BlockCholesky> BlockCholesky::factor(const BlockMatrix& a, bool pa
         out.chol_[k] = std::move(c);
       }
     } else {
-      for (double v : a.diag(k)) {
-        if (!(v > 0.0) || !std::isfinite(v)) {
-          ok[k] = 0;
-          break;
-        }
-      }
-      if (ok[k] != 0) out.diag_[k] = a.diag(k);
+      out.diag_[k] = a.diag(k);
     }
   };
 #ifdef _OPENMP

@@ -75,8 +75,10 @@ BlockMatrix multiply(const BlockMatrix& a, const BlockMatrix& b, bool parallel =
 /// entries strictly positive).
 class BlockCholesky {
  public:
-  /// `parallel` factors dense blocks across OpenMP threads; each block's
-  /// factorization is serial, so the factor is thread-count independent.
+  /// Diag blocks are checked first; dense blocks are factored only when
+  /// they all pass. `parallel` factors dense blocks across OpenMP threads;
+  /// each block's factorization is serial, so the factor is thread-count
+  /// independent.
   static std::optional<BlockCholesky> factor(const BlockMatrix& a, bool parallel = false);
 
   /// A^{-1}, dense per block.
@@ -90,6 +92,10 @@ class BlockCholesky {
   std::vector<std::optional<la::Cholesky>> chol_;  // per dense block
   std::vector<la::Vector> diag_;                   // per diag block
 };
+
+/// True iff every entry of every diag block is positive and finite: the
+/// diag-block half of the positive-definiteness test, and the cheap half.
+bool diag_blocks_positive(const BlockMatrix& a);
 
 /// True iff a + shift*I is positive definite.
 bool is_positive_definite(const BlockMatrix& a, double shift = 0.0);

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "src/la/lu.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/sdp/schur.hpp"
 #include "src/util/check.hpp"
 #include "src/util/fault_inject.hpp"
 #include "src/util/logging.hpp"
@@ -42,62 +44,49 @@ double constraint_trace(const SdpProblem& p, int i, const BlockMatrix& w) {
   return sum;
 }
 
-/// One Schur-complement entry M_ij = tr(A_i Z^{-1} A_j X), assembled
-/// directly from the two constraints' sparse entries. Writing A as a sum of
-/// symmetrized units S(r,c) = E_rc + [r!=c] E_cr, each pair of entries
-/// contributes at most four Zi(.,.)*X(.,.) products:
-///
-///   tr(S(a,b) Zi S(c,d) X) =            Zi(b,c) X(d,a)
-///                            + [a!=b]   Zi(a,c) X(d,b)
-///                            + [c!=d]   Zi(b,d) X(c,a)
-///                            + [a!=b && c!=d] Zi(a,d) X(c,b)
-///
-/// so the cost is O(nnz_i * nnz_j) — no dense n^3 product per column. Diag
-/// blocks contribute elementwise products on matching rows.
-double schur_entry(const SdpProblem& p, int i, int j, const BlockMatrix& zinv,
-                   const BlockMatrix& x) {
-  double sum = 0.0;
-  for (const auto& e : p.constraint(i).entries) {
-    for (const auto& f : p.constraint(j).entries) {
-      if (e.block != f.block) continue;
-      if (zinv.is_dense(e.block)) {
-        const auto& zi = zinv.dense(e.block);
-        const auto& xb = x.dense(e.block);
-        double t = zi(e.col, f.row) * xb(f.col, e.row);
-        if (e.row != e.col) t += zi(e.row, f.row) * xb(f.col, e.col);
-        if (f.row != f.col) t += zi(e.col, f.col) * xb(f.row, e.row);
-        if (e.row != e.col && f.row != f.col) t += zi(e.row, f.col) * xb(f.row, e.col);
-        sum += e.value * f.value * t;
-      } else if (e.row == f.row) {
-        sum += e.value * f.value * zinv.diag(e.block)[e.row] * x.diag(e.block)[e.row];
-      }
-    }
-  }
-  return sum;
-}
-
 /// Largest alpha in (0, 1] with base + alpha*dir positive definite, times
-/// `fraction`. Backtracking on the Cholesky test. One scratch copy total:
-/// each try adjusts the trial in place by the alpha delta (the previous
-/// version re-copied the full BlockMatrix on every one of up to 60 tries).
+/// `fraction`. Backtracking on the Cholesky test with one scratch copy:
+/// each try moves the trial in place by the alpha delta. A try checks the
+/// diag (slack) blocks first and factors the dense blocks only when every
+/// slack is positive, into per-block buffers reused across tries. Its
+/// verdict is the one BlockCholesky::factor would give, so the tries and
+/// the accepted step are too.
 double max_step(const BlockMatrix& base, const BlockMatrix& dir, double fraction,
                 bool parallel) {
   BlockMatrix trial = base;
+  std::vector<la::Matrix> factors(trial.num_blocks());
+  const auto dense_blocks_factor = [&] {
+    for (std::size_t k = 0; k < trial.num_blocks(); ++k) {
+      if (trial.is_dense(k) && !la::Cholesky::factor_into(trial.dense(k), &factors[k])) {
+        return false;
+      }
+    }
+    return true;
+  };
   double applied = 0.0;
   double alpha = 1.0;
   for (int tries = 0; tries < 60; ++tries) {
     const double step = fraction * alpha;
     trial.axpy(step - applied, dir, parallel);
     applied = step;
-    if (BlockCholesky::factor(trial, parallel).has_value()) return step;
+    if (diag_blocks_positive(trial) && dense_blocks_factor()) return step;
     alpha *= 0.7;
   }
   return 0.0;
 }
 
+/// Wall time of the solver's hot phases, summed over one solve's
+/// iterations and recorded once per solve.
+struct PhaseTimes {
+  double schur_assembly_ms = 0.0;
+  double schur_factor_ms = 0.0;
+  double direction_ms = 0.0;
+  double step_search_ms = 0.0;
+};
+
 }  // namespace
 
-static SdpResult solve_impl(const SdpProblem& p, const SdpOptions& opt) {
+static SdpResult solve_impl(const SdpProblem& p, const SdpOptions& opt, PhaseTimes* times) {
   const int m = p.num_constraints();
   const int n_total = total_dim(p.structure());
   const BlockMatrix c = p.objective_matrix();
@@ -130,6 +119,7 @@ static SdpResult solve_impl(const SdpProblem& p, const SdpOptions& opt) {
     return res;
   }
 
+  SchurLayout schur_layout(p);
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
     if (opt.time_limit_ms > 0.0 && timer.milliseconds() > opt.time_limit_ms) {
       res.status = SdpStatus::kDeadline;
@@ -183,48 +173,27 @@ static SdpResult solve_impl(const SdpProblem& p, const SdpOptions& opt) {
     const BlockMatrix zinv = zchol->inverse();
 
     // Schur complement M_ij = tr(A_i Z^{-1} A_j X), assembled sparsely per
-    // entry pair (see schur_entry). Columns are independent, so the j loop
-    // parallelizes without any shared reduction: the matrix is bit-identical
-    // at any thread count. M is symmetric exactly (trace cyclicity), so only
-    // the upper triangle is computed and mirrored.
-    la::Matrix schur(static_cast<std::size_t>(m), static_cast<std::size_t>(m));
-    const auto schur_column = [&](int j) {
-      for (int i = 0; i <= j; ++i) {
-        schur(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) =
-            schur_entry(p, i, j, zinv, res.x);
-      }
-    };
-    // Explicit branch, not an `if` clause on the pragma: serial solves of
-    // tiny problems must not pay OpenMP team setup every iteration.
-#ifdef _OPENMP
-    if (opt.parallel && m > 8) {
-#pragma omp parallel for schedule(static, 1)
-      for (int j = 0; j < m; ++j) schur_column(j);
-    } else {
-      for (int j = 0; j < m; ++j) schur_column(j);
-    }
-#else
-    for (int j = 0; j < m; ++j) schur_column(j);
-#endif
-    for (int j = 0; j < m; ++j) {
-      for (int i = 0; i < j; ++i) {
-        schur(static_cast<std::size_t>(j), static_cast<std::size_t>(i)) =
-            schur(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
-      }
-    }
+    // entry pair from the compiled layout (src/sdp/schur.hpp).
+    WallTimer phase;
+    const la::Matrix schur = schur_layout.assemble(zinv, res.x, opt.parallel);
+    times->schur_assembly_ms += phase.milliseconds();
 
+    phase.reset();
     std::optional<la::Cholesky> mchol;
     double ridge = 0.0;
     double max_diag = 1e-12;
     for (int i = 0; i < m; ++i) max_diag = std::max(max_diag, schur(i, i));
     for (int tries = 0; tries < 12 && !mchol; ++tries) {
-      la::Matrix reg = schur;
       if (ridge > 0.0) {
+        la::Matrix reg = schur;
         for (int i = 0; i < m; ++i) reg(i, i) += ridge;
+        mchol = la::Cholesky::factor(reg);
+      } else {
+        mchol = la::Cholesky::factor(schur);
       }
-      mchol = la::Cholesky::factor(reg);
       ridge = (ridge == 0.0) ? 1e-12 * max_diag : ridge * 100.0;
     }
+    times->schur_factor_ms += phase.milliseconds();
     if (!mchol) {
       res.status = SdpStatus::kNumerical;
       return res;
@@ -268,10 +237,14 @@ static SdpResult solve_impl(const SdpProblem& p, const SdpOptions& opt) {
     // Predictor (affine scaling, sigma = 0).
     la::Vector dy_aff;
     BlockMatrix dz_aff, dx_aff;
+    phase.reset();
     solve_direction(0.0, nullptr, &dy_aff, &dz_aff, &dx_aff);
+    times->direction_ms += phase.milliseconds();
 
+    phase.reset();
     const double ap_aff = max_step(res.x, dx_aff, 1.0, opt.parallel);
     const double ad_aff = max_step(res.z, dz_aff, 1.0, opt.parallel);
+    times->step_search_ms += phase.milliseconds();
     BlockMatrix x_aff = res.x;
     x_aff.axpy(ap_aff, dx_aff);
     BlockMatrix z_aff = res.z;
@@ -285,10 +258,14 @@ static SdpResult solve_impl(const SdpProblem& p, const SdpOptions& opt) {
         multiply(zinv, multiply(dz_aff, dx_aff, opt.parallel), opt.parallel);
     la::Vector dy;
     BlockMatrix dz, dx;
+    phase.reset();
     solve_direction(sigma * mu, &second, &dy, &dz, &dx);
+    times->direction_ms += phase.milliseconds();
 
+    phase.reset();
     double ap = max_step(res.x, dx, opt.step_fraction, opt.parallel);
     double ad = max_step(res.z, dz, opt.step_fraction, opt.parallel);
+    times->step_search_ms += phase.milliseconds();
     ap = std::min(ap, 1.0);
     ad = std::min(ad, 1.0);
     if (ap <= 1e-10 && ad <= 1e-10) {
@@ -316,6 +293,11 @@ SdpResult solve(const SdpProblem& p, const SdpOptions& opt) {
   static obs::Counter& failures = obs::metrics().counter("sdp.solve.failures");
   static obs::Counter& stalls = obs::metrics().counter("sdp.solve.stalls");
   static obs::Histogram& wall = obs::metrics().histogram("sdp.solve.ms");
+  static obs::Histogram& schur_assembly =
+      obs::metrics().histogram("phase.sdp.schur_assembly.ms");
+  static obs::Histogram& schur_factor = obs::metrics().histogram("phase.sdp.schur_factor.ms");
+  static obs::Histogram& direction = obs::metrics().histogram("phase.sdp.direction.ms");
+  static obs::Histogram& step_search = obs::metrics().histogram("phase.sdp.step_search.ms");
   WallTimer timer;
   calls.add();
   if (Status vs = p.validate(); !vs.is_ok()) {
@@ -326,7 +308,12 @@ SdpResult solve(const SdpProblem& p, const SdpOptions& opt) {
     wall.record(timer.milliseconds());
     return res;
   }
-  SdpResult res = solve_impl(p, opt);
+  PhaseTimes times;
+  SdpResult res = solve_impl(p, opt, &times);
+  schur_assembly.record(times.schur_assembly_ms);
+  schur_factor.record(times.schur_factor_ms);
+  direction.record(times.direction_ms);
+  step_search.record(times.step_search_ms);
   iterations.add(res.iterations);
   // Failure accounting: kNumerical/kDeadline/kBadProblem produced no usable
   // answer and count as failures. kStalled deliberately does NOT — a stall

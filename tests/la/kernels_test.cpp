@@ -3,11 +3,15 @@
 // triangular-inverse paths must agree with straightforward reference
 // implementations across sizes that exercise both full tiles and odd tails
 // (1, 2, 7, 31, 64, 65), and must be bit-identical across repeated runs.
+// The register-tiled Cholesky must also be bitwise equal to the untiled
+// blocked factor it replaced, kept below as an oracle.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <optional>
 
 #include "src/la/cholesky.hpp"
 #include "src/la/matrix.hpp"
@@ -59,6 +63,71 @@ Matrix reference_cholesky(const Matrix& a) {
     }
   }
   return l;
+}
+
+// The blocked right-looking factor before register tiling, kept verbatim
+// (minus metrics and fault site) as the bitwise oracle for the tiled one:
+// every entry's accumulation order must be the same.
+std::optional<Matrix> untiled_blocked_cholesky(const Matrix& a) {
+  constexpr std::size_t kNb = 48;
+  const std::size_t n = a.rows();
+  Matrix l(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* arow = a.row_ptr(i);
+    double* lrow = l.row_ptr(i);
+    for (std::size_t j = 0; j <= i; ++j) lrow[j] = arow[j];
+  }
+  for (std::size_t j0 = 0; j0 < n; j0 += kNb) {
+    const std::size_t jb = std::min(kNb, n - j0);
+    for (std::size_t j = j0; j < j0 + jb; ++j) {
+      const double* lj = l.row_ptr(j);
+      double diag = lj[j];
+      for (std::size_t k = j0; k < j; ++k) diag -= lj[k] * lj[k];
+      if (!(diag > 0.0) || !std::isfinite(diag)) return std::nullopt;
+      const double ljj = std::sqrt(diag);
+      l(j, j) = ljj;
+      for (std::size_t i = j + 1; i < j0 + jb; ++i) {
+        double* li = l.row_ptr(i);
+        double sum = li[j];
+        for (std::size_t k = j0; k < j; ++k) sum -= li[k] * lj[k];
+        li[j] = sum / ljj;
+      }
+    }
+    for (std::size_t i = j0 + jb; i < n; ++i) {
+      double* li = l.row_ptr(i);
+      for (std::size_t j = j0; j < j0 + jb; ++j) {
+        const double* lj = l.row_ptr(j);
+        double sum = li[j];
+        for (std::size_t k = j0; k < j; ++k) sum -= li[k] * lj[k];
+        li[j] = sum / lj[j];
+      }
+    }
+    for (std::size_t i = j0 + jb; i < n; ++i) {
+      const double* li = l.row_ptr(i) + j0;
+      for (std::size_t j = j0 + jb; j <= i; ++j) {
+        const double* lj = l.row_ptr(j) + j0;
+        double sum = 0.0;
+        for (std::size_t k = 0; k < jb; ++k) sum += li[k] * lj[k];
+        l(i, j) -= sum;
+      }
+    }
+  }
+  return l;
+}
+
+/// Both factors fail, or both succeed with bitwise-equal L (upper triangle
+/// included: it must stay zero).
+void expect_matches_untiled(const Matrix& a) {
+  const auto tiled = Cholesky::factor(a);
+  const auto oracle = untiled_blocked_cholesky(a);
+  ASSERT_EQ(tiled.has_value(), oracle.has_value());
+  if (!tiled) return;
+  const Matrix& l = tiled->l();
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) {
+      ASSERT_EQ(l(r, c), (*oracle)(r, c)) << "L(" << r << ", " << c << ")";
+    }
+  }
 }
 
 double rel_diff(const Matrix& a, const Matrix& b) {
@@ -136,6 +205,67 @@ TEST_P(KernelSizes, InverseMatchesSolveIdentity) {
 INSTANTIATE_TEST_SUITE_P(OddTails, KernelSizes,
                          ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{7},
                                            std::size_t{31}, std::size_t{64}, std::size_t{65}));
+
+// Sizes around every tile and panel boundary: below one 4-row tile, one
+// tile plus tails, a 48-wide panel plus 0-4 rows, two panels, and the
+// Schur sizes the lifted SDPs reach.
+class TiledCholeskySizes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TiledCholeskySizes, BitwiseEqualToUntiledFactor) {
+  Rng rng(600 + GetParam());
+  expect_matches_untiled(random_spd(GetParam(), &rng));
+}
+
+TEST_P(TiledCholeskySizes, NonPositiveDefiniteFailsOnBoth) {
+  const std::size_t n = GetParam();
+  Rng rng(700 + n);
+  // A negative pivot in the last column, and (for n > 1) a Schur
+  // complement that turns negative inside the first panel.
+  Matrix a = random_spd(n, &rng);
+  a(n - 1, n - 1) = -1.0;
+  expect_matches_untiled(a);
+  EXPECT_FALSE(Cholesky::factor(a).has_value());
+  if (n > 1) {
+    Matrix b = random_spd(n, &rng);
+    b(0, 1) = b(1, 0) = 2.0 * std::sqrt(b(0, 0) * b(1, 1));
+    expect_matches_untiled(b);
+    EXPECT_FALSE(Cholesky::factor(b).has_value());
+  }
+}
+
+TEST_P(TiledCholeskySizes, NearSingularAgreesWithUntiledFactor) {
+  const std::size_t n = GetParam();
+  Rng rng(800 + n);
+  // G G^T with G of rank n - 1: a zero pivot up to rounding, which either
+  // factor may or may not catch; they must agree on which, bit for bit.
+  const Matrix g = random_dense(n, n > 1 ? n - 1 : 1, &rng);
+  expect_matches_untiled(g * g.transposed());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TileAndPanelTails, TiledCholeskySizes,
+    ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+                      std::size_t{5}, std::size_t{13}, std::size_t{14}, std::size_t{47},
+                      std::size_t{48}, std::size_t{49}, std::size_t{50}, std::size_t{51},
+                      std::size_t{52}, std::size_t{95}, std::size_t{96}, std::size_t{97},
+                      std::size_t{200}, std::size_t{353}));
+
+TEST(TiledCholesky, FactorIntoReusesBufferBitwise) {
+  Rng rng(900);
+  Matrix buffer;
+  for (std::size_t n : {std::size_t{53}, std::size_t{53}, std::size_t{7}}) {
+    const Matrix a = random_spd(n, &rng);
+    ASSERT_TRUE(Cholesky::factor_into(a, &buffer));
+    const auto oracle = untiled_blocked_cholesky(a);
+    ASSERT_TRUE(oracle.has_value());
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) ASSERT_EQ(buffer(r, c), (*oracle)(r, c));
+    }
+  }
+  Matrix bad = random_spd(53, &rng);
+  bad(50, 50) = -1.0;
+  EXPECT_FALSE(Cholesky::factor_into(bad, &buffer));
+}
 
 TEST(KernelDeterminism, RepeatedRunsBitIdentical) {
   Rng rng(42);

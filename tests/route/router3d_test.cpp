@@ -148,5 +148,28 @@ TEST(Router3D, SingleCellNetsAreEmpty) {
   EXPECT_EQ(t.tree.sinks[0].seg_id, -1);
 }
 
+TEST(Router3D, RoundsCountPassesRunWhenBudgetRunsOut) {
+  // Dense enough that the initial routes overflow and one rip-up pass
+  // cannot clear them.
+  gen::SynthSpec spec;
+  spec.xsize = spec.ysize = 20;
+  spec.num_nets = 400;
+  spec.num_layers = 4;
+  spec.tracks_per_layer = 6;
+  spec.seed = 11;
+  const grid::Design d = gen::generate(spec);
+  Router3DOptions none;
+  none.max_negotiation_rounds = 0;
+  const Routing3DResult initial = route_all_3d(d, none);
+  ASSERT_GT(initial.wire_overflow, 0);
+  EXPECT_EQ(initial.rounds, 0);
+
+  Router3DOptions one;
+  one.max_negotiation_rounds = 1;
+  const Routing3DResult after_one = route_all_3d(d, one);
+  ASSERT_GT(after_one.wire_overflow, 0);
+  EXPECT_EQ(after_one.rounds, 1);
+}
+
 }  // namespace
 }  // namespace cpla::route

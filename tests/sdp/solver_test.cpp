@@ -6,6 +6,12 @@
 #include <omp.h>
 #endif
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "src/la/eigen.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/util/fault_inject.hpp"
@@ -279,6 +285,35 @@ TEST(SdpSolverCounters, StallsAreNotFailures) {
   EXPECT_EQ(stalls.value(), s0);
 }
 
+// The SDP phase split (Schur assembly, Schur factorization, direction
+// solves, step search) lands in its histograms once per solve, however many
+// iterations ran, and never exceeds the solve's own wall time.
+TEST(SdpSolverCounters, PhaseSplitRecordedOncePerSolve) {
+  obs::Histogram* phases[] = {
+      &obs::metrics().histogram("phase.sdp.schur_assembly.ms"),
+      &obs::metrics().histogram("phase.sdp.schur_factor.ms"),
+      &obs::metrics().histogram("phase.sdp.direction.ms"),
+      &obs::metrics().histogram("phase.sdp.step_search.ms"),
+  };
+  obs::Histogram& wall = obs::metrics().histogram("sdp.solve.ms");
+  std::int64_t counts[4];
+  double phase_sum = 0.0;
+  for (int k = 0; k < 4; ++k) {
+    counts[k] = phases[k]->count();
+    phase_sum -= phases[k]->sum();
+  }
+  const double wall0 = wall.sum();
+  const SdpResult r = solve(min_eig_instance());
+  ASSERT_EQ(r.status, SdpStatus::kOptimal);
+  ASSERT_GT(r.iterations, 1);
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(phases[k]->count(), counts[k] + 1);
+    phase_sum += phases[k]->sum();
+  }
+  EXPECT_GE(phase_sum, 0.0);
+  EXPECT_LE(phase_sum, wall.sum() - wall0);
+}
+
 // A lifted assignment relaxation in the shape the CPLA engine emits: a
 // moment-style dense block Y = [[1, x'],[x, X]] plus a diagonal slack
 // block, with x^2 = x linkage, one-layer-per-segment, and capacity rows.
@@ -376,6 +411,167 @@ TEST(SdpDeterminism, ThreadCountDoesNotChangeBits) {
   expect_results_bit_identical(one, four);
 }
 #endif
+
+
+// The lifted relaxation in the shape of BM_SdpLiftedPartition
+// (bench/micro_solvers.cpp): link rows Y_kk - Y_0k = 0, pick rows on the
+// first row, capacity rows that end in a slack on the diag block.
+SdpProblem bench_lifted_instance(int vars, int layers, cpla::Rng* rng) {
+  const int dim = 1 + vars * layers;
+  SdpProblem p({BlockSpec{BlockSpec::Kind::kDense, dim},
+                BlockSpec{BlockSpec::Kind::kDiag, vars}});
+  for (int k = 1; k < dim; ++k) p.add_objective_entry(0, 0, k, 0.5 * rng->uniform(0.1, 1.0));
+  for (int k = 1; k + layers < dim; ++k) {
+    p.add_objective_entry(0, k, k + layers, rng->uniform(-0.2, 0.2));
+  }
+  const int corner = p.add_constraint(1.0);
+  p.add_entry(corner, 0, 0, 0, 1.0);
+  for (int k = 1; k < dim; ++k) {
+    const int link = p.add_constraint(0.0);
+    p.add_entry(link, 0, k, k, 1.0);
+    p.add_entry(link, 0, 0, k, -0.5);
+  }
+  for (int v = 0; v < vars; ++v) {
+    const int pick = p.add_constraint(1.0);
+    for (int l = 0; l < layers; ++l) p.add_entry(pick, 0, 0, 1 + v * layers + l, 0.5);
+  }
+  for (int r = 0; r < vars; ++r) {
+    const int cap = p.add_constraint(rng->uniform(1.0, 2.0));
+    for (int v = 0; v < vars; ++v) {
+      if (!rng->chance(0.4)) continue;
+      const int l = static_cast<int>(rng->uniform_int(0, layers - 1));
+      p.add_entry(cap, 0, 0, 1 + v * layers + l, 0.5 * rng->uniform(0.5, 1.0));
+    }
+    p.add_entry(cap, 1, r, r, 1.0);
+  }
+  return p;
+}
+
+// The shape build_lifted_sdp emits for a partition whose via combos exceed
+// the 160-combo cap: a chain of (parent, child) pairs costs every layer
+// change, and each of the first 160 combos gets the two product-bound rows
+// Y_ab - s = 0 and Y_ab - x_a - x_b + 1 - s = 0 (s >= 0 on the diag block).
+SdpProblem rlt_lifted_instance(int vars, int layers, cpla::Rng* rng) {
+  constexpr int kMaxAuxCombos = 160;
+  const int dim = 1 + vars * layers;
+  const int caps = vars / 2;
+  auto xi = [&](int v, int l) { return 1 + v * layers + l; };
+  std::vector<std::pair<int, int>> combos;  // (a, b) dense indices, a < b
+  for (int v = 0; v + 1 < vars; ++v) {
+    for (int lp = 0; lp < layers; ++lp) {
+      for (int lc = 0; lc < layers; ++lc) {
+        if (lp != lc) combos.push_back({xi(v, lp), xi(v + 1, lc)});
+      }
+    }
+  }
+  const int aux = std::min<int>(kMaxAuxCombos, static_cast<int>(combos.size()));
+  SdpProblem p({BlockSpec{BlockSpec::Kind::kDense, dim},
+                BlockSpec{BlockSpec::Kind::kDiag, caps + 2 * aux}});
+  for (int k = 1; k < dim; ++k) p.add_objective_entry(0, k, k, rng->uniform(0.5, 2.0));
+  for (const auto& [a, b] : combos) p.add_objective_entry(0, a, b, rng->uniform(0.1, 1.0));
+  const int corner = p.add_constraint(1.0);
+  p.add_entry(corner, 0, 0, 0, 1.0);
+  for (int k = 1; k < dim; ++k) {
+    const int link = p.add_constraint(0.0);
+    p.add_entry(link, 0, k, k, 1.0);
+    p.add_entry(link, 0, 0, k, -0.5);
+  }
+  for (int v = 0; v < vars; ++v) {
+    const int pick = p.add_constraint(1.0);
+    for (int l = 0; l < layers; ++l) p.add_entry(pick, 0, 0, xi(v, l), 0.5);
+  }
+  int slack = 0;
+  for (int r = 0; r < caps; ++r) {
+    const int cap = p.add_constraint(static_cast<double>(rng->uniform_int(1, 3)));
+    for (int v = 0; v < vars; ++v) {
+      if (rng->chance(0.5)) p.add_entry(cap, 0, 0, xi(v, r % layers), 0.5);
+    }
+    p.add_entry(cap, 1, slack, slack, 1.0);
+    ++slack;
+  }
+  for (int c = 0; c < aux; ++c) {
+    const auto [a, b] = combos[static_cast<std::size_t>(c)];
+    const int lower = p.add_constraint(0.0);
+    p.add_entry(lower, 0, a, b, 0.5);
+    p.add_entry(lower, 1, slack, slack, -1.0);
+    ++slack;
+    const int upper = p.add_constraint(-1.0);
+    p.add_entry(upper, 0, a, b, 0.5);
+    p.add_entry(upper, 0, 0, a, -0.5);
+    p.add_entry(upper, 0, 0, b, -0.5);
+    p.add_entry(upper, 1, slack, slack, -1.0);
+    ++slack;
+  }
+  return p;
+}
+
+/// Order-sensitive FNV-1a over the bits of y, X and Z.
+std::uint64_t result_hash(const SdpResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&](double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    h ^= bits;
+    h *= 1099511628211ull;
+  };
+  for (double v : r.y) mix(v);
+  for (const BlockMatrix* m : {&r.x, &r.z}) {
+    for (std::size_t k = 0; k < m->num_blocks(); ++k) {
+      if (m->is_dense(k)) {
+        const la::Matrix& d = m->dense(k);
+        for (std::size_t i = 0; i < d.rows(); ++i) {
+          for (std::size_t j = 0; j < d.cols(); ++j) mix(d(i, j));
+        }
+      } else {
+        for (double v : m->diag(k)) mix(v);
+      }
+    }
+  }
+  return h;
+}
+
+struct Fingerprint {
+  SdpStatus status;
+  int iterations;
+  std::uint64_t hash;
+};
+
+// Serial solves: the parallel paths give the same bits at any thread count
+// (SdpDeterminism above), and a serial run keeps this test cheap under a
+// loaded ctest.
+void expect_fingerprint(const SdpProblem& p, const Fingerprint& want) {
+  SdpOptions opt;
+  opt.parallel = false;
+  const SdpResult r = solve(p, opt);
+  EXPECT_EQ(r.status, want.status) << to_string(r.status);
+  EXPECT_EQ(r.iterations, want.iterations);
+  EXPECT_EQ(result_hash(r), want.hash) << std::hex << "0x" << result_hash(r);
+}
+
+// Pins the solver's exact output on the problem shapes the flow solves.
+// The kernels keep every floating-point operation in a fixed order, so a
+// faster Schur assembly, Cholesky or step search must leave these bits
+// alone; a change here is a change of results, not of speed.
+TEST(SdpFingerprint, LiftedPartitionSizes) {
+  const Fingerprint want[] = {
+      {SdpStatus::kOptimal, 18, 0xc1ab932051c605d8ull},
+      {SdpStatus::kOptimal, 18, 0x0ed35dd06a2923f9ull},
+      {SdpStatus::kOptimal, 22, 0xf1a96fb2e84f4974ull},
+  };
+  const int sizes[] = {8, 16, 24};
+  for (int s = 0; s < 3; ++s) {
+    SCOPED_TRACE(sizes[s]);
+    cpla::Rng rng(6);
+    expect_fingerprint(bench_lifted_instance(sizes[s], 4, &rng), want[s]);
+  }
+}
+
+TEST(SdpFingerprint, RltRowsAtComboCap) {
+  cpla::Rng rng(7);
+  const SdpProblem p = rlt_lifted_instance(15, 4, &rng);
+  ASSERT_EQ(p.structure()[1].dim, 7 + 2 * 160);
+  expect_fingerprint(p, {SdpStatus::kOptimal, 20, 0x7b6483cb22d4f59aull});
+}
 
 }  // namespace
 }  // namespace cpla::sdp
